@@ -53,7 +53,6 @@ from .worstcase import (
     RmssReport,
     SweepGrid,
     ViolationReport,
-    WorstCaseResult,
     count_violations,
     run_rmss,
     worst_case_metric,
@@ -86,7 +85,6 @@ __all__ = [
     "SweepGrid",
     "ValidationReport",
     "ViolationReport",
-    "WorstCaseResult",
     "adjoint_sensitivities",
     "build_admittance",
     "count_violations",

@@ -7,11 +7,9 @@ manifest echoing the resolved configuration, versions, and seed.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -74,47 +72,29 @@ _CONFIG_ERRORS = (
     ZeroStep,
     MissingLimits,
     DimensionMismatch,
-    ValueError,
-    OSError,
 )
 
 
-@dataclass
-class RunConfig:
-    """Resolved inputs of one CLI invocation, echoed into the manifest."""
-
-    case: str
-    essential: str | None = None
-    axes: str = "p"
-    sigma_p: str = "2%"
-    correlation: str | None = None
-    metrics: str = "all"
-    rho: float = 0.975
-    sigma_c: str | None = None
-    sweep: str | None = None
-    limits: str = "case"
-    samples: int | None = None
-    ci: str = CI_PERCENTILE
-    seed: int = 0
-    workers: int = 1
-    out: str = "."
+def _manifest_config(seed: int | None) -> dict:
+    """The invoking command's options, echoed into its manifest, with the seed resolved."""
+    return {**click.get_current_context().params, "seed": _resolve_seed(seed)}
 
 
 def _guarded(body):
     try:
         body()
-    except _SOLVER_ERRORS as exc:
+    except _SOLVER_ERRORS + _CONFIG_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
-    except _CONFIG_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        sys.exit(EXIT_SOLVER if isinstance(exc, _SOLVER_ERRORS) else EXIT_CONFIG)
 
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
-    return int(os.environ.get("RMSS_SEED", "0"))
+    try:
+        return int(os.environ.get("RMSS_SEED", "0"))
+    except ValueError:
+        raise ConfigError(f"RMSS_SEED must be an integer, got {os.environ['RMSS_SEED']!r}")
 
 
 def _resolve_case_path(case: str) -> Path:
@@ -146,33 +126,56 @@ def _load_case(case: str, essential: str | None) -> GridCase:
 def _parse_percent(text: str) -> tuple[float, bool]:
     """Value plus whether it carried a % suffix (fraction-of-nominal units)."""
     t = text.strip()
-    if t.endswith("%"):
-        return float(t[:-1]) / 100.0, True
-    return float(t), False
+    is_frac = t.endswith("%")
+    try:
+        value = float(t[:-1] if is_frac else t)
+    except ValueError:
+        raise ConfigError(f"not a number or percentage: {text!r}")
+    return (value / 100.0 if is_frac else value), is_frac
 
 
-def _build_params(case: GridCase, sigma_p: str, axes: str, correlation: str | None):
+def _load_inputs(case, essential, axes, sigma_p, correlation, metrics):
+    """The case, its parameter model and the metric spec from the shared input options."""
+    grid = _load_case(case, essential)
     value, is_frac = _parse_percent(sigma_p)
     if value < 0:
         raise ConfigError(f"--sigma-p must be nonnegative, got {sigma_p}")
     axis_map = {"p": (Axis.P,), "q": (Axis.Q,), "pq": (Axis.P, Axis.Q)}
-    corr = np.loadtxt(correlation, delimiter=",", ndmin=2) if correlation else None
-    return StochasticParameterSet.from_case(
-        case,
+    corr = None
+    if correlation:
+        try:
+            corr = np.loadtxt(correlation, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read correlation matrix {correlation}: {exc}")
+    params = StochasticParameterSet.from_case(
+        grid,
         sigma_frac=value if is_frac else None,
         sigma_abs=None if is_frac else value,
         axes=axis_map[axes],
         correlation=corr,
     )
-
-
-def _build_metric_spec(case: GridCase, metrics: str) -> MetricSpec:
     if metrics == "all":
-        spec = default_metric_spec(case)
+        spec = default_metric_spec(grid)
         if len(spec) == 0:
             raise ConfigError("case has no nonzero-injection PQ bus to monitor")
-        return spec
-    return MetricSpec.voltages_at(int(b) for b in metrics.split(","))
+        return grid, params, spec
+    try:
+        ids = [int(b) for b in metrics.split(",")]
+    except ValueError:
+        raise ConfigError(f"--metrics must be 'all' or comma-separated bus ids, got {metrics!r}")
+    unknown = sorted(set(ids) - {b.id for b in grid.buses})
+    if unknown:
+        raise ConfigError(f"--metrics names buses absent from the case: {unknown}")
+    return grid, params, MetricSpec.voltages_at(ids)
+
+
+def _out_dir(path: str | Path) -> Path:
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
+    return out_dir
 
 
 def _parse_sweep_spec(spec: str) -> SweepGrid:
@@ -190,7 +193,14 @@ def _parse_sweep_spec(spec: str) -> SweepGrid:
     if count < 1 or lo <= 0 or hi <= lo and count > 1:
         raise ConfigError(f"bad sweep spec {spec!r}")
     values = np.geomspace(lo, hi, count) if count > 1 else np.array([lo])
-    return SweepGrid(tuple(values), FRACTION if lo_frac else ABSOLUTE)
+    return _sweep_grid(values, FRACTION if lo_frac else ABSOLUTE)
+
+
+def _sweep_grid(values, unit: str) -> SweepGrid:
+    try:
+        return SweepGrid(tuple(values), unit)
+    except ValueError as exc:
+        raise ConfigError(f"bad sigma grid: {exc}")
 
 
 def _resolve_sigma_c(sigma_c: str | None, sweep: str | None):
@@ -200,7 +210,9 @@ def _resolve_sigma_c(sigma_c: str | None, sweep: str | None):
         if sigma_c in ("auto", PROPAGATED):
             return PROPAGATED
         value, is_frac = _parse_percent(sigma_c)
-        return SweepGrid((value,), FRACTION) if is_frac else value
+        if value < 0:
+            raise ConfigError(f"--sigma-c must be nonnegative, got {sigma_c}")
+        return _sweep_grid((value,), FRACTION) if is_frac else value
     if sweep:
         return _parse_sweep_spec(sweep)
     return None  # default sweep
@@ -217,57 +229,58 @@ def _resolve_limits(limits: str):
     raise ConfigError(f"--limits must be 'case' or 'band:<pct>', got {limits!r}")
 
 
+_INPUT_OPTIONS = (
+    click.option("--case", required=True, help="Case file path or bundled case name."),
+    click.option("--essential", required=True,
+                 help="all-solar | all-wind | all-renewable | all | comma-separated ids."),
+    click.option("--axes", default="p", type=click.Choice(["p", "q", "pq"]), show_default=True),
+    click.option("--sigma-p", default="2%", show_default=True,
+                 help="Parameter stdev: % of each mean, or absolute pu."),
+    click.option("--correlation", default=None,
+                 help="CSV file with a parameter correlation matrix."),
+    click.option("--metrics", default="all", show_default=True,
+                 help="'all' nonzero-injection PQ buses, or comma-separated bus ids."),
+    click.option("--seed", default=None, type=int, help="Falls back to RMSS_SEED, then 0."),
+)
+
+
+def _input_options(command):
+    """Case, parameter-model, metric and seed options shared by run, mc and sensitivity."""
+    for option in reversed(_INPUT_OPTIONS):
+        command = option(command)
+    return command
+
+
 @click.group()
 def main():
     """Risk-managed steady-state analysis of power grids."""
 
 
 @main.command("run")
-@click.option("--case", required=True, help="Case file path or bundled case name.")
-@click.option("--essential", required=True,
-              help="all-solar | all-wind | all-renewable | all | comma-separated ids.")
-@click.option("--axes", default="p", type=click.Choice(["p", "q", "pq"]), show_default=True)
-@click.option("--sigma-p", default="2%", show_default=True,
-              help="Parameter stdev: % of each mean, or absolute pu.")
-@click.option("--correlation", default=None, help="CSV file with a parameter correlation matrix.")
-@click.option("--metrics", default="all", show_default=True,
-              help="'all' nonzero-injection PQ buses, or comma-separated bus ids.")
+@_input_options
 @click.option("--rho", default=0.975, show_default=True, help="One-sided confidence level.")
 @click.option("--sigma-c", default=None,
               help="Known metric stdev (% of nominal or pu), or 'auto' to propagate.")
 @click.option("--sweep", default=None, help="Metric-stdev sweep lo:hi:count (log spacing).")
 @click.option("--limits", default="case", show_default=True,
               help="'case' per-bus limits or band:<pct> around nominal voltages.")
-@click.option("--seed", default=None, type=int, help="Falls back to RMSS_SEED, then 0.")
 @click.option("--out", default=".", show_default=True)
-def cmd_rmss(case, essential, axes, sigma_p, correlation, metrics, rho, sigma_c, sweep,
-             limits, seed, out):
+def cmd_rmss(case, essential, axes, sigma_p, correlation, metrics, seed, rho, sigma_c, sweep,
+             limits, out):
     """Run the full risk-managed analysis and write its report files."""
 
     def body():
-        config = RunConfig(case=case, essential=essential, axes=axes, sigma_p=sigma_p,
-                           correlation=correlation, metrics=metrics, rho=rho,
-                           sigma_c=sigma_c, sweep=sweep, limits=limits,
-                           seed=_resolve_seed(seed), out=out)
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        grid = _load_case(case, essential)
-        params = _build_params(grid, sigma_p, axes, correlation)
-        spec = _build_metric_spec(grid, metrics)
+        config = _manifest_config(seed)
+        out_dir = _out_dir(out)
+        grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
         report = run_rmss(
-            grid,
-            params,
-            spec,
-            rho=rho,
-            sigma_c=_resolve_sigma_c(sigma_c, sweep),
-            limits=_resolve_limits(limits),
-            seed=config.seed,
+            grid, params, spec, rho=rho, sigma_c=_resolve_sigma_c(sigma_c, sweep),
+            limits=_resolve_limits(limits), seed=config["seed"],
         )
         write_json(out_dir / "rmss_report.json", report.to_dict())
         write_violations_csv(out_dir / "violations.csv", report)
         write_worst_violator_csv(out_dir / "worst_violator.csv", report)
-        write_manifest(out_dir / "run_manifest.json", "run",
-                       dataclasses.asdict(config), config.seed)
+        write_manifest(out_dir / "run_manifest.json", "run", config, config["seed"])
         total = sum(p.ub_total + p.lb_total for p in report.violations.points)
         click.echo(
             f"{len(report.metric_buses)} metrics x {len(report.points)} sigma point(s), "
@@ -280,44 +293,32 @@ def cmd_rmss(case, essential, axes, sigma_p, correlation, metrics, rho, sigma_c,
 
 
 @main.command("mc")
-@click.option("--case", required=True)
-@click.option("--essential", required=True)
-@click.option("--axes", default="p", type=click.Choice(["p", "q", "pq"]), show_default=True)
-@click.option("--sigma-p", default="2%", show_default=True)
-@click.option("--correlation", default=None)
-@click.option("--metrics", default="all", show_default=True)
+@_input_options
 @click.option("--samples", required=True, type=int)
 @click.option("--ci", default=CI_PERCENTILE, type=click.Choice([CI_PERCENTILE, CI_MEAN]),
               show_default=True, help="Interval kind: distribution percentiles or CI of the mean.")
-@click.option("--seed", default=None, type=int)
 @click.option("--workers", default=1, show_default=True)
 @click.option("--sample-csv", default=None,
               help="Also dump every sample's metric values to this CSV.")
 @click.option("--out", default=".", show_default=True)
-def cmd_mc(case, essential, axes, sigma_p, correlation, metrics, samples, ci, seed, workers,
+def cmd_mc(case, essential, axes, sigma_p, correlation, metrics, seed, samples, ci, workers,
            sample_csv, out):
     """Monte Carlo reference run; records wall-clock timing for speedups."""
 
     def body():
         if samples <= 0:
             raise ConfigError(f"--samples must be positive, got {samples}")
-        config = RunConfig(case=case, essential=essential, axes=axes, sigma_p=sigma_p,
-                           correlation=correlation, metrics=metrics, samples=samples,
-                           ci=ci, seed=_resolve_seed(seed), workers=workers, out=out)
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        grid = _load_case(case, essential)
-        params = _build_params(grid, sigma_p, axes, correlation)
-        spec = _build_metric_spec(grid, metrics)
+        config = _manifest_config(seed)
+        out_dir = _out_dir(out)
+        grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
         report = run_monte_carlo(
-            grid, params, spec, n=samples, seed=config.seed, workers=workers,
+            grid, params, spec, n=samples, seed=config["seed"], workers=workers,
             ci_method=ci, keep_samples=sample_csv is not None,
         )
         if sample_csv is not None:
             report.samples_to_csv(sample_csv)
         write_json(out_dir / "mc_report.json", report.to_dict())
-        write_manifest(out_dir / "mc_manifest.json", "mc",
-                       dataclasses.asdict(config), config.seed)
+        write_manifest(out_dir / "mc_manifest.json", "mc", config, config["seed"])
         click.echo(
             f"{report.n_samples} samples ({report.n_failed} failed) in "
             f"{report.total_runtime_s:.2f}s ({report.per_solve_mean_s * 1e3:.2f} ms/solve)"
@@ -325,6 +326,15 @@ def cmd_mc(case, essential, axes, sigma_p, correlation, metrics, samples, ci, se
         click.echo(f"report written to {out_dir / 'mc_report.json'}")
 
     _guarded(body)
+
+
+def _read_report(path: Path) -> dict:
+    if not path.is_file():
+        raise ConfigError(f"report file not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}")
 
 
 @main.command("compare")
@@ -335,43 +345,28 @@ def cmd_compare(rmss_report, mc_report, out):
     """Mean-absolute-error table and speedup between the two report files."""
 
     def body():
-        rmss_path, mc_path = Path(rmss_report), Path(mc_report)
-        for p in (rmss_path, mc_path):
-            if not p.is_file():
-                raise ConfigError(f"report file not found: {p}")
-        rmss = RmssReport.from_dict(json.loads(rmss_path.read_text()))
-        mc = McReport.from_dict(json.loads(mc_path.read_text()))
+        rmss = RmssReport.from_dict(_read_report(Path(rmss_report)))
+        mc = McReport.from_dict(_read_report(Path(mc_report)))
         comp = mae_compare(rmss, mc)
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _out_dir(out)
         write_json(out_dir / "comparison.json", comp.to_dict())
-        pct = comp.mae_pct
         click.echo("MAE (%):")
-        click.echo(f"  c_ub  {pct['c_ub']:.4f}")
-        click.echo(f"  c_lb  {pct['c_lb']:.4f}")
-        click.echo(f"  e_ub  {pct['e_ub']:.4f}")
-        click.echo(f"  e_lb  {pct['e_lb']:.4f}")
+        for key, value in comp.mae_pct.items():
+            click.echo(f"  {key}  {value:.4f}")
         click.echo(f"speedup: {comp.speedup:.1f}x (sigma point: {comp.sigma_label})")
 
     _guarded(body)
 
 
 @main.command("sensitivity")
-@click.option("--case", required=True)
-@click.option("--essential", required=True)
-@click.option("--axes", default="p", type=click.Choice(["p", "q", "pq"]), show_default=True)
-@click.option("--sigma-p", default="2%", show_default=True)
-@click.option("--correlation", default=None)
-@click.option("--metrics", default="all", show_default=True)
-@click.option("--seed", default=None, type=int)
+@_input_options
 @click.option("--out", default="lambda.csv", show_default=True)
 def cmd_sensitivity(case, essential, axes, sigma_p, correlation, metrics, seed, out):
     """Dump the metric/parameter sensitivity matrix as CSV."""
 
     def body():
-        grid = _load_case(case, essential)
-        params = _build_params(grid, sigma_p, axes, correlation)
-        spec = _build_metric_spec(grid, metrics)
+        _out_dir(Path(out).parent)
+        grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
         sol = solve_power_flow(grid, injections=params.apply(grid, params.means))
         if not sol.converged:
             raise NonConvergence(

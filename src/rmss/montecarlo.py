@@ -19,6 +19,7 @@ from .exceptions import (
     DimensionMismatch,
     ExcessiveFailureRate,
     NotPSD,
+    SchemaError,
 )
 from .model import GridCase
 from .parameters import StochasticParameterSet
@@ -162,28 +163,33 @@ class McReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "McReport":
-        stats = data["statistics"]
-        return cls(
-            case_name=data["case"],
-            metric_buses=tuple(stats["metrics"]["buses"]),
-            parameter_labels=tuple(stats["parameters"]["labels"]),
-            n_samples=stats["n_samples"],
-            n_failed=stats["n_failed"],
-            seed=stats["seed"],
-            ci_method=stats["ci_method"],
-            metric_mean=np.array(stats["metrics"]["mean"]),
-            metric_stdev=np.array(stats["metrics"]["stdev"]),
-            metric_ci_lb=np.array(stats["metrics"]["ci_lb"]),
-            metric_ci_ub=np.array(stats["metrics"]["ci_ub"]),
-            param_mean=np.array(stats["parameters"]["mean"]),
-            param_stdev=np.array(stats["parameters"]["stdev"]),
-            param_ci_lb=np.array(stats["parameters"]["ci_lb"]),
-            param_ci_ub=np.array(stats["parameters"]["ci_ub"]),
-            total_runtime_s=data["timing"]["total_runtime_s"],
-            per_solve_mean_s=data["timing"]["per_solve_mean_s"],
-            per_solve_min_s=data["timing"]["per_solve_min_s"],
-            workers=data.get("workers", 1),
-        )
+        """Rebuild a report written by :meth:`to_dict`; missing fields are a SchemaError."""
+        try:
+            stats, timing = data["statistics"], data["timing"]
+            metrics, params = stats["metrics"], stats["parameters"]
+            return cls(
+                case_name=data["case"],
+                metric_buses=tuple(metrics["buses"]),
+                parameter_labels=tuple(params["labels"]),
+                n_samples=stats["n_samples"],
+                n_failed=stats["n_failed"],
+                seed=stats["seed"],
+                ci_method=stats["ci_method"],
+                metric_mean=np.array(metrics["mean"]),
+                metric_stdev=np.array(metrics["stdev"]),
+                metric_ci_lb=np.array(metrics["ci_lb"]),
+                metric_ci_ub=np.array(metrics["ci_ub"]),
+                param_mean=np.array(params["mean"]),
+                param_stdev=np.array(params["stdev"]),
+                param_ci_lb=np.array(params["ci_lb"]),
+                param_ci_ub=np.array(params["ci_ub"]),
+                total_runtime_s=timing["total_runtime_s"],
+                per_solve_mean_s=timing["per_solve_mean_s"],
+                per_solve_min_s=timing["per_solve_min_s"],
+                workers=data.get("workers", 1),
+            )
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"malformed Monte Carlo report: missing or bad field {exc}") from exc
 
 
 def run_monte_carlo(
@@ -332,21 +338,18 @@ def mae_compare(rmss: RmssReport, mc: McReport) -> ComparisonReport:
             f"{mc.n_failed}/{mc.n_samples} sampled solves failed; comparison unrepresentative"
         )
 
-    per_point = []
-    for point in rmss.points:
-        c_ub = np.array([r.c_wc_ub for r in point.results])
-        c_lb = np.array([r.c_wc_lb for r in point.results])
-        per_point.append(
-            (
-                point.label,
-                float(np.mean(np.abs(c_ub - mc.metric_ci_ub))),
-                float(np.mean(np.abs(c_lb - mc.metric_ci_lb))),
-            )
+    per_point = [
+        (
+            point.label,
+            float(np.mean(np.abs(point.results[:, 0] - mc.metric_ci_ub))),
+            float(np.mean(np.abs(point.results[:, 1] - mc.metric_ci_lb))),
         )
+        for point in rmss.points
+    ]
     best = int(np.argmin([a + b for _, a, b in per_point]))
     label, mae_c_ub, mae_c_lb = per_point[best]
 
-    env_ub, env_lb = rmss.points[best].parameter_envelope()
+    env_ub, env_lb = rmss.parameter_envelope(best)
     if env_ub is None:
         mae_e_ub = mae_e_lb = float("nan")
     else:

@@ -62,10 +62,10 @@ def write_worst_violator_csv(path: str | Path, report: RmssReport) -> None:
     """Voltage bounds of the most-violating bus at every swept sigma value."""
     bus = report.violations.worst_violator
     lines = ["sigma,bus,c_nom,c_wc_ub,c_wc_lb"]
-    if bus is not None:
-        for point in report.points:
-            for r in point.results:
-                if r.bus == bus:
-                    label = point.label if isinstance(point.label, str) else repr(point.label)
-                    lines.append(f"{label},{bus},{r.c_nom!r},{r.c_wc_ub!r},{r.c_wc_lb!r}")
+    rows = [i for i, b in enumerate(report.metric_buses) if b == bus]
+    for point in report.points:
+        label = point.label if isinstance(point.label, str) else repr(point.label)
+        for i in rows:
+            values = (report.c_nom[i], *point.results[i])
+            lines.append(f"{label},{bus}," + ",".join(repr(float(v)) for v in values))
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -1,9 +1,9 @@
 """First-order metric sensitivities w.r.t. essential component injections.
 
 Primary path is adjoint analysis at the converged operating point: the
-network Jacobian is factorized once and each metric costs a single
-transposed-system solve, so the parameter count never enters the linear
-algebra. Central finite differences serve as the independent cross-check
+network Jacobian is factorized once and each metric costs one right-hand
+side of a single transposed-system solve, so the parameter count never
+enters the linear algebra. Central finite differences serve as the independent cross-check
 and as the nonlinearity detector for the statistical fallback.
 """
 
@@ -83,7 +83,7 @@ def adjoint_sensitivities(
     spec: MetricSpec,
     ybus: AdmittanceMatrix | None = None,
 ) -> SensitivityMatrix:
-    """Gradient of every metric via one transposed solve per metric.
+    """Gradient of every metric via one multi-right-hand-side transposed solve.
 
     The residual at the solution is differentiated in-place: injection
     parameters enter only the excitation side of the network equations, so
@@ -110,32 +110,35 @@ def adjoint_sensitivities(
     dfr = np.where(axes, e[buses], f[buses]) / d[buses]
     dfi = np.where(axes, f[buses], -e[buses]) / d[buses]
 
+    metric_buses = spec.buses
+    missing = [b for b in metric_buses if b not in pos]
+    if missing:
+        raise UnknownBus(f"metric references unknown bus {missing[0]}")
+    k = np.array([pos[b] for b in metric_buses], dtype=int)
+    mag = np.hypot(e[k], f[k])
+    live = mag > 1e-9
+    for bus in np.asarray(metric_buses)[~live]:
+        warnings.warn(
+            f"metric bus {bus} voltage near origin; gradient set to zero", stacklevel=2
+        )
+    rows, k, mag = np.flatnonzero(live), k[live], mag[live]
+
+    # One right-hand side d|V_k|/dx per live metric, all solved in one call.
+    g = np.zeros((system.dim, len(rows)))
+    cols = np.arange(len(rows))
+    g[2 * k, cols] = e[k] / mag
+    g[2 * k + 1, cols] = f[k] / mag
     values = np.zeros((len(spec), len(params)))
-    solves = 0
-    for i, metric in enumerate(spec.entries):
-        if metric.bus not in pos:
-            raise UnknownBus(f"metric references unknown bus {metric.bus}")
-        k = pos[metric.bus]
-        mag = np.hypot(e[k], f[k])
-        if mag <= 1e-9:
-            warnings.warn(
-                f"metric bus {metric.bus} voltage near origin; gradient set to zero",
-                stacklevel=2,
-            )
-            continue
-        g = np.zeros(system.dim)
-        g[2 * k] = e[k] / mag
-        g[2 * k + 1] = f[k] / mag
+    if len(rows):
         lam = lu.solve(g, trans="T")
-        solves += 1
-        values[i] = -(lam[2 * buses] * dfr + lam[2 * buses + 1] * dfi)
+        values[rows] = -(lam[2 * buses].T * dfr + lam[2 * buses + 1].T * dfi)
 
     return SensitivityMatrix(
         values=values,
-        metric_buses=spec.buses,
+        metric_buses=metric_buses,
         parameter_labels=params.labels(),
         methods=(METHOD_ADJOINT,) * len(spec),
-        adjoint_solves=solves,
+        adjoint_solves=len(rows),
     )
 
 

@@ -4,14 +4,17 @@ Given first-order sensitivities and a normal parameter model, the
 worst-case value of each metric is an inverse-normal quantile excursion
 around its nominal value, and the most probable dispatch achieving that
 excursion has a closed form: the minimum-Mahalanobis-distance point on
-the hyperplane of dispatches consistent with the excursion.
+the hyperplane of dispatches consistent with the excursion. For metric i
+every such dispatch lies on one line through the parameter means, along
+Sigma lambda_i / (lambda_i' Sigma lambda_i), so a report stores one
+direction per metric and derives the dispatches from it.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +25,7 @@ from .exceptions import (
     InvalidProbability,
     MissingLimits,
     NonConvergence,
+    SchemaError,
 )
 from .model import GridCase
 from .parameters import StochasticParameterSet
@@ -38,10 +42,13 @@ from .sensitivity import hybrid_sensitivities
 logger = logging.getLogger(__name__)
 
 DEGENERATE_TOLERANCE = 1e-14
+SCHEMA_VERSION = 2  # version of the RmssReport.to_dict layout
 
 FRACTION = "fraction"  # sigma_c as a fraction of each metric's nominal value
 ABSOLUTE = "pu"  # sigma_c as an absolute pu value shared by all metrics
 PROPAGATED = "propagated"  # sigma_c from first-order propagation of the parameter covariance
+
+SIDES = ("UB", "LB")  # order of the last axis of every bound array
 
 
 def _quantile(rho: float) -> float:
@@ -50,28 +57,37 @@ def _quantile(rho: float) -> float:
     return float(norm.ppf(rho))
 
 
+def _bounds(c_nom, sigma_c, z: float) -> np.ndarray:
+    """Quantile bounds [c_nom + z*sigma_c, c_nom - z*sigma_c], stacked on a new last axis."""
+    t = z * np.asarray(sigma_c, dtype=float)
+    return np.stack([c_nom + t, c_nom - t], axis=-1)
+
+
+def _linearization(
+    sigma: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-order variance, dispatch direction and degeneracy of each metric row of ``lam``.
+
+    Returns ``variance`` (m,) = lambda_i' Sigma lambda_i, ``degenerate`` (m,)
+    where that variance is numerically zero, and ``directions`` with one row
+    Sigma lambda_i / variance_i per non-degenerate metric: the parameter
+    deviation of the most probable dispatch that moves metric i by one unit.
+    """
+    lam = np.atleast_2d(np.asarray(lam, dtype=float))
+    sig_lam = lam @ sigma  # Sigma is symmetric
+    variance = np.einsum("md,md->m", lam, sig_lam)
+    degenerate = variance <= DEGENERATE_TOLERANCE
+    keep = ~degenerate
+    return variance, degenerate, sig_lam[keep] / variance[keep, None]
+
+
 def worst_case_metric(c_nom: float, sigma_c: float, rho: float, direction: str) -> float:
     """Quantile bound c_nom +/- z(rho) * sigma_c for direction "UB"/"LB"."""
     if sigma_c < 0:
         raise ValueError(f"sigma_c must be nonnegative, got {sigma_c}")
-    if direction not in ("UB", "LB"):
+    if direction not in SIDES:
         raise ValueError(f"direction must be 'UB' or 'LB', got {direction!r}")
-    z = _quantile(rho)
-    return c_nom + z * sigma_c if direction == "UB" else c_nom - z * sigma_c
-
-
-def _deviation_vector(
-    params: StochasticParameterSet, lam: np.ndarray, delta_c: float
-) -> np.ndarray:
-    """Parameter deviation of the most probable dispatch shifting the metric by delta_c."""
-    lam = np.asarray(lam, dtype=float)
-    sig_lam = params.sigma @ lam
-    denom = float(lam @ sig_lam)
-    if denom <= DEGENERATE_TOLERANCE:
-        raise DegenerateDirection(
-            f"metric insensitive to all varying parameters (lambda'Sigma lambda = {denom:.3e})"
-        )
-    return (delta_c / denom) * sig_lam
+    return float(_bounds(c_nom, sigma_c, _quantile(rho))[SIDES.index(direction)])
 
 
 def worst_case_parameters(
@@ -81,7 +97,13 @@ def worst_case_parameters(
     c_nom: float,
 ) -> np.ndarray:
     """Closed-form most-probable dispatch on the hyperplane lam . (E - eta) = c_wc - c_nom."""
-    return params.means + _deviation_vector(params, lam, c_wc - c_nom)
+    variance, degenerate, directions = _linearization(params.sigma, lam)
+    if degenerate[0]:
+        raise DegenerateDirection(
+            "metric insensitive to all varying parameters "
+            f"(lambda'Sigma lambda = {variance[0]:.3e})"
+        )
+    return params.means + (c_wc - c_nom) * directions[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,71 +130,22 @@ class SweepGrid:
 
 
 @dataclass(eq=False)
-class WorstCaseResult:
-    """Bounds and worst-case dispatch for one metric at one sigma_c."""
-
-    bus: int
-    metric_index: int
-    sigma_label: float | str
-    sigma_c: float  # absolute pu
-    rho: float
-    c_nom: float
-    c_wc_ub: float
-    c_wc_lb: float
-    e_wc_ub: np.ndarray | None
-    e_wc_lb: np.ndarray | None
-    # single construction vector: e_wc_ub = means + dev, e_wc_lb = means - dev
-    e_wc_deviation: np.ndarray | None
-    e_wc_within_ci: tuple[bool, ...] | None
-    degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "bus": self.bus,
-            "sigma_c": self.sigma_c,
-            "c_nom": self.c_nom,
-            "c_wc_ub": self.c_wc_ub,
-            "c_wc_lb": self.c_wc_lb,
-            "e_wc_ub": None if self.e_wc_ub is None else self.e_wc_ub.tolist(),
-            "e_wc_lb": None if self.e_wc_lb is None else self.e_wc_lb.tolist(),
-            "e_wc_deviation": None
-            if self.e_wc_deviation is None
-            else self.e_wc_deviation.tolist(),
-            "e_wc_within_ci": None
-            if self.e_wc_within_ci is None
-            else list(self.e_wc_within_ci),
-            "degenerate": self.degenerate,
-        }
-
-
-@dataclass(eq=False)
 class SweepPoint:
     label: float | str  # swept value in `unit` terms, or "propagated"
-    sigma_abs: np.ndarray  # per-metric absolute sigma_c, pu
-    results: tuple[WorstCaseResult, ...]
-
-    def parameter_envelope(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Per-parameter extremes across the per-metric worst-case dispatches."""
-        ubs = [r.e_wc_ub for r in self.results if r.e_wc_ub is not None]
-        lbs = [r.e_wc_lb for r in self.results if r.e_wc_lb is not None]
-        if not ubs:
-            return None, None
-        return np.max(ubs, axis=0), np.min(lbs, axis=0)
+    sigma_abs: np.ndarray  # (m,) per-metric absolute sigma_c, pu
+    results: np.ndarray  # (m, 2) rows of [c_wc_ub, c_wc_lb] in metric order, pu
 
     def to_dict(self) -> dict:
-        env_ub, env_lb = self.parameter_envelope()
         return {
             "label": self.label,
             "sigma_abs": self.sigma_abs.tolist(),
-            "results": [r.to_dict() for r in self.results],
-            "parameter_envelope_ub": None if env_ub is None else env_ub.tolist(),
-            "parameter_envelope_lb": None if env_lb is None else env_lb.tolist(),
+            "results": self.results.tolist(),
         }
 
 
 @dataclass(frozen=True)
 class ViolationRecord:
-    sigma_label: float | str
+    sigma: float | str  # sweep point label
     bus: int
     side: str  # "UB" | "LB"
     value: float
@@ -180,14 +153,7 @@ class ViolationRecord:
     margin: float  # overshoot beyond the limit, pu
 
     def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma_label,
-            "bus": self.bus,
-            "side": self.side,
-            "value": self.value,
-            "limit": self.limit,
-            "margin": self.margin,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -223,6 +189,22 @@ class ViolationReport:
             "worst_violator": self.worst_violator,
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "ViolationReport":
+        points = tuple(
+            PointViolations(
+                sigma_label=v["sigma"],
+                ub_total=v["ub_total"],
+                lb_total=v["lb_total"],
+                per_bus={int(k): t for k, t in v["per_bus"].items()},
+                worst_violator=v["worst_violator"],
+                records=tuple(ViolationRecord(**r) for r in v["records"]),
+            )
+            for v in data["points"]
+        )
+        per_bus_total = {int(k): t for k, t in data["per_bus_total"].items()}
+        return cls(points, per_bus_total, data["worst_violator"])
+
 
 def _worst_bus(tallies: dict[int, int]) -> int | None:
     nonzero = {b: t for b, t in tallies.items() if t > 0}
@@ -232,62 +214,68 @@ def _worst_bus(tallies: dict[int, int]) -> int | None:
     return min(b for b, t in nonzero.items() if t == best)
 
 
-def count_violations(
-    bounds: Sequence[WorstCaseResult],
+def limit_arrays(
+    limits: dict[int, tuple[float, float]] | float | str,
     case: GridCase,
-    limits: dict[int, tuple[float, float]] | None = None,
-) -> ViolationReport:
-    """Tally bound excursions beyond per-bus voltage limits.
+    buses: Sequence[int],
+    c_nom: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-metric (v_min, v_max) arrays from ``"case"``, a band fraction or a bus map.
 
-    ``limits`` maps bus id to (v_min, v_max); when omitted the case's own
-    bus limits apply. Results are grouped by their sigma label in first-seen
-    order (run reports are already sorted by sigma then metric).
+    ``"case"`` takes each bus's own limits, a float ``band`` builds
+    c_nom * (1 -/+ band), and a dict maps bus id to (v_min, v_max).
     """
-    if limits is None:
-        limits = {}
-        for b in case.buses:
-            if b.v_min is None or b.v_max is None:
-                continue
-            limits[b.id] = (b.v_min, b.v_max)
+    if limits == "case":
+        limits = {
+            b.id: (b.v_min, b.v_max)
+            for b in case.buses
+            if b.v_min is not None and b.v_max is not None
+        }
+    if not isinstance(limits, dict):
+        band = float(limits)
+        return c_nom * (1 - band), c_nom * (1 + band)
+    missing = [b for b in buses if b not in limits]
+    if missing:
+        raise MissingLimits(f"bus {missing[0]} has no voltage limits")
+    pairs = np.array([limits[b] for b in buses], dtype=float).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
-    grouped: dict[float | str, list[WorstCaseResult]] = {}
-    for r in bounds:
-        grouped.setdefault(r.sigma_label, []).append(r)
+
+def count_violations(
+    labels: Sequence[float | str],
+    buses: Sequence[int],
+    bounds: np.ndarray,
+    v_min: np.ndarray,
+    v_max: np.ndarray,
+) -> ViolationReport:
+    """Tally bound excursions beyond per-metric voltage limits.
+
+    ``bounds`` has shape (P, m, 2): one [c_wc_ub, c_wc_lb] row per metric at
+    each of the P sweep points named by ``labels``. Records list each point's
+    metrics in order, the UB excursion before the LB one.
+    """
+    limit = np.stack([v_max, v_min], axis=-1)  # (m, 2), aligned with the bound sides
+    margins = (bounds - limit) * np.array([1.0, -1.0])  # overshoot beyond each limit, pu
+    hits = margins > 0
 
     points: list[PointViolations] = []
     total_tally: dict[int, int] = {}
-    for label, results in grouped.items():
-        records: list[ViolationRecord] = []
-        tally: dict[int, int] = {}
-        ub_total = lb_total = 0
-        for r in results:
-            if r.bus not in limits:
-                raise MissingLimits(f"bus {r.bus} has no voltage limits")
-            v_min, v_max = limits[r.bus]
-            if r.c_wc_ub > v_max:
-                ub_total += 1
-                tally[r.bus] = tally.get(r.bus, 0) + 1
-                records.append(
-                    ViolationRecord(label, r.bus, "UB", r.c_wc_ub, v_max, r.c_wc_ub - v_max)
-                )
-            if r.c_wc_lb < v_min:
-                lb_total += 1
-                tally[r.bus] = tally.get(r.bus, 0) + 1
-                records.append(
-                    ViolationRecord(label, r.bus, "LB", r.c_wc_lb, v_min, v_min - r.c_wc_lb)
-                )
-        points.append(
-            PointViolations(
-                sigma_label=label,
-                ub_total=ub_total,
-                lb_total=lb_total,
-                per_bus=tally,
-                worst_violator=_worst_bus(tally),
-                records=tuple(records),
+    for k, label in enumerate(labels):
+        records = tuple(
+            ViolationRecord(
+                label, buses[i], SIDES[s],
+                float(bounds[k, i, s]), float(limit[i, s]), float(margins[k, i, s]),
             )
+            for i, s in zip(*np.nonzero(hits[k]))
         )
-        for b, t in tally.items():
-            total_tally[b] = total_tally.get(b, 0) + t
+        tally: dict[int, int] = {}
+        for r in records:
+            tally[r.bus] = tally.get(r.bus, 0) + 1
+            total_tally[r.bus] = total_tally.get(r.bus, 0) + 1
+        ub_total, lb_total = (int(n) for n in hits[k].sum(axis=0))
+        points.append(
+            PointViolations(label, ub_total, lb_total, tally, _worst_bus(tally), records)
+        )
 
     return ViolationReport(
         points=tuple(points),
@@ -298,7 +286,12 @@ def count_violations(
 
 @dataclass(eq=False)
 class RmssReport:
-    """Everything the risk-managed analysis produced for one case."""
+    """Everything the risk-managed analysis produced for one case.
+
+    Worst-case dispatches are not stored: at sweep point k the dispatches of
+    metric i are means +/- z(rho) * sigma_abs[i] * direction[i], derived by
+    :meth:`dispatches` from one direction per non-degenerate metric.
+    """
 
     case_name: str
     rho: float
@@ -306,7 +299,9 @@ class RmssReport:
     parameter_labels: tuple[str, ...]
     parameter_means: np.ndarray
     parameter_stdevs: np.ndarray
-    c_nom: np.ndarray
+    c_nom: np.ndarray  # (m,)
+    degenerate: np.ndarray  # (m,) bool: metric insensitive to every parameter, no dispatch
+    dispatch_directions: np.ndarray  # (m - n_degenerate, d), non-degenerate metrics in order
     sigma_mode: str  # "known" | "sweep" | "propagated"
     sigma_unit: str
     points: tuple[SweepPoint, ...]
@@ -314,8 +309,30 @@ class RmssReport:
     sensitivity_methods: tuple[str, ...]
     runtime_s: float
 
+    def _deviations(self, k: int) -> np.ndarray:
+        scale = _quantile(self.rho) * self.points[k].sigma_abs[~self.degenerate]
+        return scale[:, None] * self.dispatch_directions
+
+    def dispatches(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """UB and LB worst-case dispatches at sweep point k, one row per non-degenerate metric."""
+        deviation = self._deviations(k)
+        return self.parameter_means + deviation, self.parameter_means - deviation
+
+    def within_ci(self, k: int) -> np.ndarray:
+        """Whether each dispatch coordinate at point k lies inside its parameter's rho-interval."""
+        half = _quantile(self.rho) * self.parameter_stdevs
+        return np.abs(self._deviations(k)) <= half * (1 + 1e-12)
+
+    def parameter_envelope(self, k: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Per-parameter extremes across the worst-case dispatches at point k."""
+        ub, lb = self.dispatches(k)
+        if not len(ub):
+            return None, None
+        return ub.max(axis=0), lb.min(axis=0)
+
     def to_dict(self) -> dict:
         return {
+            "schema": SCHEMA_VERSION,
             "case": self.case_name,
             "rho": self.rho,
             "metric_buses": list(self.metric_buses),
@@ -325,6 +342,8 @@ class RmssReport:
                 "stdevs": self.parameter_stdevs.tolist(),
             },
             "c_nom": self.c_nom.tolist(),
+            "degenerate": self.degenerate.tolist(),
+            "dispatch_directions": self.dispatch_directions.tolist(),
             "sigma_mode": self.sigma_mode,
             "sigma_unit": self.sigma_unit,
             "points": [p.to_dict() for p in self.points],
@@ -335,103 +354,70 @@ class RmssReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RmssReport":
-        points = []
-        for p in data["points"]:
-            results = []
-            for i, r in enumerate(p["results"]):
-                results.append(
-                    WorstCaseResult(
-                        bus=r["bus"],
-                        metric_index=i,
-                        sigma_label=p["label"],
-                        sigma_c=r["sigma_c"],
-                        rho=data["rho"],
-                        c_nom=r["c_nom"],
-                        c_wc_ub=r["c_wc_ub"],
-                        c_wc_lb=r["c_wc_lb"],
-                        e_wc_ub=None if r["e_wc_ub"] is None else np.array(r["e_wc_ub"]),
-                        e_wc_lb=None if r["e_wc_lb"] is None else np.array(r["e_wc_lb"]),
-                        e_wc_deviation=None
-                        if r["e_wc_deviation"] is None
-                        else np.array(r["e_wc_deviation"]),
-                        e_wc_within_ci=None
-                        if r["e_wc_within_ci"] is None
-                        else tuple(r["e_wc_within_ci"]),
-                        degenerate=r["degenerate"],
-                    )
-                )
-            points.append(
-                SweepPoint(
-                    label=p["label"],
-                    sigma_abs=np.array(p["sigma_abs"]),
-                    results=tuple(results),
-                )
+        """Rebuild a report written by :meth:`to_dict`; anything else is a SchemaError."""
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema != SCHEMA_VERSION:
+            raise SchemaError(
+                f"rmss report schema {schema!r} is not supported (expected {SCHEMA_VERSION})"
             )
-        violations = ViolationReport(
-            points=tuple(
-                PointViolations(
-                    sigma_label=v["sigma"],
-                    ub_total=v["ub_total"],
-                    lb_total=v["lb_total"],
-                    per_bus={int(k): t for k, t in v["per_bus"].items()},
-                    worst_violator=v["worst_violator"],
-                    records=tuple(
-                        ViolationRecord(
-                            sigma_label=r["sigma"],
-                            bus=r["bus"],
-                            side=r["side"],
-                            value=r["value"],
-                            limit=r["limit"],
-                            margin=r["margin"],
-                        )
-                        for r in v["records"]
-                    ),
-                )
-                for v in data["violations"]["points"]
-            ),
-            per_bus_total={
-                int(k): t for k, t in data["violations"]["per_bus_total"].items()
-            },
-            worst_violator=data["violations"]["worst_violator"],
-        )
-        return cls(
-            case_name=data["case"],
-            rho=data["rho"],
-            metric_buses=tuple(data["metric_buses"]),
-            parameter_labels=tuple(data["parameters"]["labels"]),
-            parameter_means=np.array(data["parameters"]["means"]),
-            parameter_stdevs=np.array(data["parameters"]["stdevs"]),
-            c_nom=np.array(data["c_nom"]),
-            sigma_mode=data["sigma_mode"],
-            sigma_unit=data["sigma_unit"],
-            points=tuple(points),
-            violations=violations,
-            sensitivity_methods=tuple(data["sensitivity_methods"]),
-            runtime_s=data["runtime_s"],
-        )
+        try:
+            params = data["parameters"]
+            d = len(params["labels"])
+            report = cls(
+                case_name=data["case"],
+                rho=data["rho"],
+                metric_buses=tuple(data["metric_buses"]),
+                parameter_labels=tuple(params["labels"]),
+                parameter_means=np.array(params["means"], dtype=float),
+                parameter_stdevs=np.array(params["stdevs"], dtype=float),
+                c_nom=np.array(data["c_nom"], dtype=float),
+                degenerate=np.array(data["degenerate"], dtype=bool),
+                dispatch_directions=np.array(data["dispatch_directions"], dtype=float)
+                .reshape(-1, d),
+                sigma_mode=data["sigma_mode"],
+                sigma_unit=data["sigma_unit"],
+                points=tuple(
+                    SweepPoint(
+                        p["label"],
+                        np.array(p["sigma_abs"], dtype=float),
+                        np.array(p["results"], dtype=float).reshape(-1, 2),
+                    )
+                    for p in data["points"]
+                ),
+                violations=ViolationReport.from_dict(data["violations"]),
+                sensitivity_methods=tuple(data["sensitivity_methods"]),
+                runtime_s=data["runtime_s"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed rmss report: {exc!r}") from exc
+        m = len(report.metric_buses)
+        if (
+            report.degenerate.shape != (m,)
+            or len(report.dispatch_directions) != m - report.degenerate.sum()
+            or any(p.results.shape != (m, 2) for p in report.points)
+        ):
+            raise SchemaError(f"rmss report arrays do not match its {m} metric buses")
+        return report
 
 
 def _resolve_sigma_points(
     sigma_c, c_nom: np.ndarray, propagated_abs: np.ndarray
-) -> tuple[str, str, list[tuple[float | str, np.ndarray]]]:
-    """Map the sigma_c argument onto (mode, unit, [(label, per-metric abs sigma)])."""
+) -> tuple[str, str, list[float | str], np.ndarray]:
+    """Map the sigma_c argument onto (mode, unit, point labels, (P, m) absolute sigma)."""
     if sigma_c is None:
         sigma_c = SweepGrid.default()
     if isinstance(sigma_c, str):
         if sigma_c != PROPAGATED:
             raise ValueError(f"unknown sigma_c mode {sigma_c!r}")
-        return PROPAGATED, ABSOLUTE, [(PROPAGATED, propagated_abs)]
+        return PROPAGATED, ABSOLUTE, [PROPAGATED], propagated_abs[None, :]
     if isinstance(sigma_c, SweepGrid):
         mode = "sweep" if len(sigma_c.values) > 1 else "known"
-        points = []
-        for v in sigma_c.values:
-            abs_sigma = v * c_nom if sigma_c.unit == FRACTION else np.full_like(c_nom, v)
-            points.append((v, abs_sigma))
-        return mode, sigma_c.unit, points
+        scale = c_nom if sigma_c.unit == FRACTION else np.ones_like(c_nom)
+        return mode, sigma_c.unit, list(sigma_c.values), np.outer(sigma_c.values, scale)
     value = float(sigma_c)
     if value < 0:
         raise ValueError(f"sigma_c must be nonnegative, got {value}")
-    return "known", ABSOLUTE, [(value, np.full_like(c_nom, value))]
+    return "known", ABSOLUTE, [value], np.full((1, len(c_nom)), value)
 
 
 def run_rmss(
@@ -468,86 +454,39 @@ def run_rmss(
             solution=sol,
         )
     spec = spec if spec is not None else default_metric_spec(case)
+    buses = spec.buses
     c_nom = evaluate_metrics(sol, spec)
 
     sens = hybrid_sensitivities(
         case, sol, params, spec, nonlinearity_threshold, seed=seed, ybus=ybus
     )
-    sig_lam = sens.values @ params.sigma  # (m, d)
-    quad = np.einsum("md,md->m", sens.values, sig_lam)  # lambda' Sigma lambda per metric
-    propagated_abs = np.sqrt(np.clip(quad, 0.0, None))
+    variance, degenerate, directions = _linearization(params.sigma, sens.values)
+    if degenerate.any():
+        logger.warning(
+            "metric buses %s: direction degenerate, dispatch skipped",
+            [b for b, deg in zip(buses, degenerate) if deg],
+        )
 
-    mode, unit, sigma_points = _resolve_sigma_points(sigma_c, c_nom, propagated_abs)
-
-    means = params.means
-    ci_half = z * params.stdevs
-    points: list[SweepPoint] = []
-    degenerate_logged: set[int] = set()
-    for label, sigma_abs in sigma_points:
-        results = []
-        for i in range(len(spec)):
-            t = z * sigma_abs[i]
-            c_ub, c_lb = c_nom[i] + t, c_nom[i] - t
-            if quad[i] <= DEGENERATE_TOLERANCE:
-                if i not in degenerate_logged:
-                    logger.warning(
-                        "metric bus %s: direction degenerate, dispatch skipped",
-                        spec.buses[i],
-                    )
-                    degenerate_logged.add(i)
-                delta = e_ub = e_lb = None
-                within = None
-                degenerate = True
-            else:
-                delta = (t / quad[i]) * sig_lam[i]
-                e_ub = means + delta
-                e_lb = means - delta
-                within = tuple(bool(w) for w in np.abs(delta) <= ci_half * (1 + 1e-12))
-                degenerate = False
-            results.append(
-                WorstCaseResult(
-                    bus=spec.buses[i],
-                    metric_index=i,
-                    sigma_label=label,
-                    sigma_c=float(sigma_abs[i]),
-                    rho=rho,
-                    c_nom=float(c_nom[i]),
-                    c_wc_ub=float(c_ub),
-                    c_wc_lb=float(c_lb),
-                    e_wc_ub=e_ub,
-                    e_wc_lb=e_lb,
-                    e_wc_deviation=delta,
-                    e_wc_within_ci=within,
-                    degenerate=degenerate,
-                )
-            )
-        points.append(SweepPoint(label=label, sigma_abs=sigma_abs, results=tuple(results)))
-
-    if limits == "case":
-        limit_map = None
-    elif isinstance(limits, dict):
-        limit_map = limits
-    else:
-        band = float(limits)
-        limit_map = {
-            spec.buses[i]: (c_nom[i] * (1 - band), c_nom[i] * (1 + band))
-            for i in range(len(spec))
-        }
-    all_results = [r for p in points for r in p.results]
-    violations = count_violations(all_results, case, limits=limit_map)
+    mode, unit, labels, sigma_abs = _resolve_sigma_points(
+        sigma_c, c_nom, np.sqrt(np.clip(variance, 0.0, None))
+    )
+    bounds = _bounds(c_nom, sigma_abs, z)  # (P, m, 2)
+    v_min, v_max = limit_arrays(limits, case, buses, c_nom)
 
     return RmssReport(
         case_name=case.name,
         rho=rho,
-        metric_buses=spec.buses,
+        metric_buses=buses,
         parameter_labels=params.labels(),
-        parameter_means=means,
+        parameter_means=params.means,
         parameter_stdevs=params.stdevs,
         c_nom=c_nom,
+        degenerate=degenerate,
+        dispatch_directions=directions,
         sigma_mode=mode,
         sigma_unit=unit,
-        points=tuple(points),
-        violations=violations,
+        points=tuple(SweepPoint(*point) for point in zip(labels, sigma_abs, bounds)),
+        violations=count_violations(labels, buses, bounds, v_min, v_max),
         sensitivity_methods=sens.methods,
         runtime_s=time.perf_counter() - t0,
     )

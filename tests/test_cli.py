@@ -207,3 +207,71 @@ def test_no_temp_files_left_behind(runner, tmp_path):
                          "--sigma-c", "auto", "--out", str(tmp_path)])
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("report", [{"case": "x"}, {"schema": 1, "case": "x"}, ["x"]])
+def test_compare_malformed_rmss_report_exit_3(runner, tmp_path, report):
+    assert runner.invoke(main, ["mc", "--case", "case2", "--essential", "all",
+                                "--samples", "20", "--out", str(tmp_path)]).exit_code == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report))
+    result = runner.invoke(main, [
+        "compare", str(bad), str(tmp_path / "mc_report.json"), "--out", str(tmp_path),
+    ])
+    assert result.exit_code == 3, result.output
+    assert "schema" in result.output
+
+
+def test_compare_malformed_mc_report_and_bad_json_exit_3(runner, tmp_path):
+    assert runner.invoke(main, ["run", "--case", "case2", "--essential", "all",
+                                "--sigma-c", "auto", "--out", str(tmp_path)]).exit_code == 0
+    rmss_path = str(tmp_path / "rmss_report.json")
+    (tmp_path / "mc.json").write_text(json.dumps({"case": "x"}))
+    (tmp_path / "broken.json").write_text("{not json")
+    for mc_name in ("mc.json", "broken.json"):
+        result = runner.invoke(main, ["compare", rmss_path, str(tmp_path / mc_name),
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 3, result.output
+
+
+def test_internal_value_error_is_not_a_config_error(runner, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("rmss.cli.run_rmss", broken)
+    result = runner.invoke(main, ["run", "--case", "case2", "--essential", "all",
+                                  "--sigma-c", "auto", "--out", str(tmp_path)])
+    assert result.exit_code != 3
+    assert isinstance(result.exception, ValueError)
+
+
+@pytest.mark.parametrize("args", [
+    ["--sigma-p", "abc%"],
+    ["--metrics", "1,x"],
+    ["--metrics", "999"],
+    ["--sigma-c", "-1%"],
+    ["--sigma-c", "0%"],
+    ["--sweep", "0.1%:x:5"],
+    ["--correlation", "no_such_correlation.csv"],
+])
+def test_bad_option_text_exits_3(runner, tmp_path, args):
+    result = runner.invoke(main, ["run", "--case", "case2", "--essential", "all",
+                                  "--out", str(tmp_path), *args])
+    assert result.exit_code == 3, result.output
+    assert "error:" in result.output
+
+
+def test_uncreatable_out_dir_exits_3(runner, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = runner.invoke(main, ["run", "--case", "case2", "--essential", "all",
+                                  "--sigma-c", "auto", "--out", str(blocker / "sub")])
+    assert result.exit_code == 3, result.output
+
+
+def test_shared_input_options_on_every_model_command():
+    shared = ["case", "essential", "axes", "sigma_p", "correlation", "metrics", "seed"]
+    commands = [main.commands[name] for name in ("run", "mc", "sensitivity")]
+    for name in shared:
+        options = [next(p for p in cmd.params if p.name == name) for cmd in commands]
+        assert len({(o.default, o.required, o.help) for o in options}) == 1, name

@@ -173,9 +173,8 @@ class TestMaeCompare:
 
     def test_identical_bounds_give_zero_mae(self, two_bus_stochastic):
         rmss, mc = self._reports(two_bus_stochastic)
-        mc.metric_ci_ub = np.array([r.c_wc_ub for r in rmss.points[0].results])
-        mc.metric_ci_lb = np.array([r.c_wc_lb for r in rmss.points[0].results])
-        env_ub, env_lb = rmss.points[0].parameter_envelope()
+        mc.metric_ci_ub, mc.metric_ci_lb = rmss.points[0].results.T
+        env_ub, env_lb = rmss.parameter_envelope(0)
         mc.param_ci_ub, mc.param_ci_lb = env_ub, env_lb
         comp = mae_compare(rmss, mc)
         assert comp.mae_c_ub == comp.mae_c_lb == 0.0
@@ -184,8 +183,7 @@ class TestMaeCompare:
     def test_constant_offset_is_the_mae(self, two_bus_stochastic):
         rmss, mc = self._reports(two_bus_stochastic)
         # align exactly, then shift the sampled interval by 0.01 pu elementwise
-        mc.metric_ci_ub = np.array([r.c_wc_ub + 0.01 for r in rmss.points[0].results])
-        mc.metric_ci_lb = np.array([r.c_wc_lb + 0.01 for r in rmss.points[0].results])
+        mc.metric_ci_ub, mc.metric_ci_lb = rmss.points[0].results.T + 0.01
         comp = mae_compare(rmss, mc)
         assert comp.mae_c_ub == pytest.approx(0.01, abs=1e-15)
         assert comp.mae_c_lb == pytest.approx(0.01, abs=1e-15)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.stats import norm
 
 from rmss import (
     MetricSpec,
@@ -18,14 +19,15 @@ from rmss import (
     worst_case_metric,
     worst_case_parameters,
 )
-from rmss.exceptions import DegenerateDirection, InvalidProbability, MissingLimits
+from rmss.exceptions import DegenerateDirection, InvalidProbability, MissingLimits, SchemaError
 from rmss.parameters import Axis, ParameterEntry, StochasticParameterSet
+from rmss.sensitivity import adjoint_sensitivities
 from rmss.worstcase import (
     FRACTION,
     RmssReport,
     SweepGrid,
-    WorstCaseResult,
     count_violations,
+    limit_arrays,
 )
 
 from test_powerflow import two_bus
@@ -182,35 +184,45 @@ class TestSweepGrid:
             SweepGrid((0.01,), unit="percentish")
 
 
-def make_bound(bus, c_nom, c_ub, c_lb, sigma_label=0.01):
-    return WorstCaseResult(
-        bus=bus,
-        metric_index=0,
-        sigma_label=sigma_label,
-        sigma_c=0.01,
-        rho=0.975,
-        c_nom=c_nom,
-        c_wc_ub=c_ub,
-        c_wc_lb=c_lb,
-        e_wc_ub=None,
-        e_wc_lb=None,
-        e_wc_deviation=None,
-        e_wc_within_ci=None,
-        degenerate=True,
-    )
+def count_one_point(case, rows, limits="case", label=0.01):
+    """Violations of (bus, c_wc_ub, c_wc_lb) rows at a single sweep point."""
+    buses = [bus for bus, _, _ in rows]
+    bounds = np.array([[[ub, lb] for _, ub, lb in rows]])
+    v_min, v_max = limit_arrays(limits, case, buses, np.ones(len(rows)))
+    return count_violations([label], buses, bounds, v_min, v_max)
+
+
+def count_by_loop(labels, buses, bounds, v_min, v_max):
+    """Reference tally: one pass per (point, metric), UB checked before LB."""
+    points, total = [], {}
+    for k, label in enumerate(labels):
+        records, tally, ub_total, lb_total = [], {}, 0, 0
+        for i, bus in enumerate(buses):
+            ub, lb = bounds[k, i]
+            if ub > v_max[i]:
+                ub_total += 1
+                records.append({"sigma": label, "bus": bus, "side": "UB", "value": float(ub),
+                                "limit": float(v_max[i]), "margin": float(ub - v_max[i])})
+            if lb < v_min[i]:
+                lb_total += 1
+                records.append({"sigma": label, "bus": bus, "side": "LB", "value": float(lb),
+                                "limit": float(v_min[i]), "margin": float(v_min[i] - lb)})
+        for r in records:
+            tally[r["bus"]] = tally.get(r["bus"], 0) + 1
+            total[r["bus"]] = total.get(r["bus"], 0) + 1
+        points.append((label, ub_total, lb_total, tally, records))
+    return points, total
 
 
 class TestCountViolations:
     def test_all_inside_limits(self, case14):
-        bounds = [make_bound(4, 1.0, 1.01, 0.99)]
-        report = count_violations(bounds, case14)
+        report = count_one_point(case14, [(4, 1.01, 0.99)])
         assert report.points[0].ub_total == 0
         assert report.points[0].lb_total == 0
         assert report.worst_violator is None
 
     def test_three_ub_violations_counted(self, case14):
-        bounds = [make_bound(b, 1.0, 1.2, 0.99) for b in (4, 5, 6)]
-        report = count_violations(bounds, case14)
+        report = count_one_point(case14, [(b, 1.2, 0.99) for b in (4, 5, 6)])
         point = report.points[0]
         assert point.ub_total == 3
         assert point.lb_total == 0
@@ -221,16 +233,15 @@ class TestCountViolations:
     def test_band_limits_violate_only_beyond_two_percent(self, case14):
         setpoints = {4: 1.0, 5: 1.0}
         limits = {b: (s * 0.98, s * 1.02) for b, s in setpoints.items()}
-        inside = make_bound(4, 1.0, 1.019, 0.981)
-        outside = make_bound(5, 1.0, 1.021, 0.985)
-        report = count_violations([inside, outside], case14, limits=limits)
+        rows = [(4, 1.019, 0.981), (5, 1.021, 0.985)]  # inside, outside
+        report = count_one_point(case14, rows, limits=limits)
         assert report.per_bus_total == {5: 1}
         records = report.points[0].records
         assert len(records) == 1
         assert records[0].side == "UB"
         assert records[0].margin == pytest.approx(0.001)
 
-    def test_missing_limits(self):
+    def test_missing_limits(self, case14):
         from rmss.model import Bus, BusKind, GridCase
 
         case = GridCase(
@@ -241,13 +252,32 @@ class TestCountViolations:
             loads=(),
         )
         with pytest.raises(MissingLimits):
-            count_violations([make_bound(1, 1.0, 1.1, 0.9)], case)
+            count_one_point(case, [(1, 1.1, 0.9)])
+        with pytest.raises(MissingLimits):
+            count_one_point(case14, [(4, 1.1, 0.9)], limits={5: (0.9, 1.1)})
 
     def test_margins_recorded_in_pu(self, case14):
-        report = count_violations([make_bound(4, 1.0, 1.07, 0.93)], case14)
+        report = count_one_point(case14, [(4, 1.07, 0.93)])
         by_side = {r.side: r for r in report.points[0].records}
         assert by_side["UB"].margin == pytest.approx(1.07 - 1.05)
         assert by_side["LB"].margin == pytest.approx(0.95 - 0.93)
+
+    def test_matches_per_point_per_metric_loop(self, case14_solar):
+        # records, tallies and margins bitwise equal to a loop over (point, metric)
+        params = StochasticParameterSet.from_case(case14_solar)
+        report = run_rmss(case14_solar, params, limits=0.01)
+        bounds = np.stack([p.results for p in report.points])
+        v_min, v_max = limit_arrays(0.01, case14_solar, report.metric_buses, report.c_nom)
+        labels = [p.label for p in report.points]
+        points, total = count_by_loop(labels, report.metric_buses, bounds, v_min, v_max)
+        assert sum(len(r) for *_, r in points) > 0
+        for got, (label, ub_total, lb_total, tally, records) in zip(
+            report.violations.points, points
+        ):
+            assert (got.sigma_label, got.ub_total, got.lb_total) == (label, ub_total, lb_total)
+            assert got.per_bus == tally
+            assert [r.to_dict() for r in got.records] == records
+        assert report.violations.per_bus_total == total
 
 
 @pytest.fixture(scope="module")
@@ -262,9 +292,8 @@ class TestRunRmss:
         case, params = two_bus_stochastic
         report = run_rmss(case, params, sigma_c=0.0)
         (point,) = report.points
-        for r in point.results:
-            assert r.c_wc_ub == r.c_nom
-            assert r.c_wc_lb == r.c_nom
+        assert np.array_equal(point.results[:, 0], report.c_nom)
+        assert np.array_equal(point.results[:, 1], report.c_nom)
         assert report.violations.worst_violator is None
 
     def test_default_sweep_spans_declared_range(self, two_bus_stochastic):
@@ -280,42 +309,58 @@ class TestRunRmss:
         assert first.sigma_abs[0] == pytest.approx(0.001 * report.c_nom[0])
 
     def test_bound_ordering_and_linear_consistency(self, case14_solar, case14_solution):
-        from rmss.sensitivity import adjoint_sensitivities
-
         params = StochasticParameterSet.from_case(case14_solar)
         spec = default_metric_spec(case14_solar)
         lam = adjoint_sensitivities(case14_solar, case14_solution, params, spec).values
         report = run_rmss(case14_solar, params, spec, sigma_c="propagated")
         assert len(report.sensitivity_methods) == len(report.metric_buses)
-        for point in report.points:
-            for i, r in enumerate(point.results):
-                assert r.c_wc_lb <= r.c_nom <= r.c_wc_ub
-                if r.degenerate:
-                    continue
-                # the dispatch really lives on the bound hyperplane
-                shift = lam[i] @ (r.e_wc_ub - report.parameter_means)
-                assert abs(shift - (r.c_wc_ub - r.c_nom)) <= 1e-10
+        keep = ~report.degenerate
+        for k, point in enumerate(report.points):
+            c_ub, c_lb = point.results.T
+            assert np.all(c_lb <= report.c_nom) and np.all(report.c_nom <= c_ub)
+            # the dispatches really live on the bound hyperplanes
+            ub, lb = report.dispatches(k)
+            shift_ub = np.einsum("md,md->m", lam[keep], ub - report.parameter_means)
+            shift_lb = np.einsum("md,md->m", lam[keep], lb - report.parameter_means)
+            assert np.max(np.abs(shift_ub - (c_ub - report.c_nom)[keep])) <= 1e-10
+            assert np.max(np.abs(shift_lb - (c_lb - report.c_nom)[keep])) <= 1e-10
 
     def test_ub_lb_deviations_are_exact_negations(self, case14_solar):
-        # both dispatches derive from the single stored deviation vector,
-        # so the +/- symmetry is bitwise
+        # both dispatches are means +/- z * sigma_abs * direction from the single
+        # stored direction, so the +/- symmetry is bitwise
         params = StochasticParameterSet.from_case(case14_solar)
         report = run_rmss(case14_solar, params, sigma_c="propagated")
-        means = report.parameter_means
-        for r in report.points[0].results:
-            if r.degenerate:
-                continue
-            assert np.array_equal(r.e_wc_ub, means + r.e_wc_deviation)
-            assert np.array_equal(r.e_wc_lb, means - r.e_wc_deviation)
+        keep = ~report.degenerate
+        scale = norm.ppf(report.rho) * report.points[0].sigma_abs[keep]
+        deviation = scale[:, None] * report.dispatch_directions
+        ub, lb = report.dispatches(0)
+        assert np.array_equal(ub, report.parameter_means + deviation)
+        assert np.array_equal(lb, report.parameter_means - deviation)
+
+    def test_dispatches_match_scalar_closed_form(self, case14_solar, case14_solution):
+        # oracle: every derived dispatch row equals the scalar worst_case_parameters
+        params = StochasticParameterSet.from_case(case14_solar)
+        spec = default_metric_spec(case14_solar)
+        lam = adjoint_sensitivities(case14_solar, case14_solution, params, spec).values
+        for sigma_c in ("propagated", SweepGrid((0.001, 0.01, 0.05))):
+            report = run_rmss(case14_solar, params, spec, sigma_c=sigma_c)
+            rows = np.flatnonzero(~report.degenerate)
+            assert len(rows) == len(report.metric_buses)
+            for k, point in enumerate(report.points):
+                ub, lb = report.dispatches(k)
+                for row, i in enumerate(rows):
+                    c_ub, c_lb = point.results[i]
+                    e_ub = worst_case_parameters(params, lam[i], c_ub, report.c_nom[i])
+                    e_lb = worst_case_parameters(params, lam[i], c_lb, report.c_nom[i])
+                    assert np.max(np.abs(ub[row] - e_ub)) <= 1e-12
+                    assert np.max(np.abs(lb[row] - e_lb)) <= 1e-12
 
     def test_within_ci_flags_present(self, two_bus_stochastic):
         case, params = two_bus_stochastic
         report = run_rmss(case, params, sigma_c="propagated")
-        (point,) = report.points
-        (result,) = point.results
         # single parameter drives the metric fully, so its worst-case value
         # sits exactly on the parameter confidence bound
-        assert result.e_wc_within_ci == (True,)
+        assert report.within_ci(0).tolist() == [[True]]
 
     def test_monotone_violations_over_band_sweep(self, case14_solar):
         params = StochasticParameterSet.from_case(case14_solar)
@@ -327,20 +372,39 @@ class TestRunRmss:
     def test_report_json_round_trip(self, case14_solar):
         params = StochasticParameterSet.from_case(case14_solar)
         report = run_rmss(case14_solar, params, limits=0.02)
-        blob = json.dumps(report.to_dict())
+        data = report.to_dict()
+        assert data["schema"] == 2
+        assert set(data["points"][0]) == {"label", "sigma_abs", "results"}
+        blob = json.dumps(data)
         again = RmssReport.from_dict(json.loads(blob))
         assert json.dumps(again.to_dict()) == blob
+        assert np.array_equal(again.dispatches(3)[0], report.dispatches(3)[0])
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("schema"),
+        lambda d: d.update(schema=1),
+        lambda d: d.pop("dispatch_directions"),
+        lambda d: d["points"][0].pop("results"),
+        lambda d: d["points"][0].update(results=[[1.0, 0.9]]),
+    ])
+    def test_from_dict_rejects_other_layouts(self, case14_solar, edit):
+        params = StochasticParameterSet.from_case(case14_solar)
+        data = run_rmss(case14_solar, params, sigma_c="propagated").to_dict()
+        edit(data)
+        with pytest.raises(SchemaError):
+            RmssReport.from_dict(data)
 
     def test_degenerate_metric_keeps_bounds_without_dispatch(self, two_bus_stochastic):
         case, params = two_bus_stochastic
         # the slack voltage is pinned, so its direction is degenerate
         spec = MetricSpec.voltages_at([1, 2])
         report = run_rmss(case, params, spec, sigma_c=0.01)
-        slack_r, pq_r = report.points[0].results
-        assert slack_r.degenerate
-        assert slack_r.e_wc_ub is None and slack_r.e_wc_lb is None
-        assert slack_r.c_wc_ub > slack_r.c_nom > slack_r.c_wc_lb
-        assert not pq_r.degenerate
+        assert report.degenerate.tolist() == [True, False]
+        assert report.dispatch_directions.shape == (1, len(params))
+        ub, lb = report.dispatches(0)
+        assert ub.shape == lb.shape == (1, len(params))  # the PQ metric's row only
+        slack_ub, slack_lb = report.points[0].results[0]
+        assert slack_ub > report.c_nom[0] > slack_lb
 
     def test_two_bus_bounds_match_monte_carlo_interval(self, two_bus_stochastic):
         # independent oracle: percentile bounds of 10,000 sampled solves
@@ -349,6 +413,6 @@ class TestRunRmss:
         report = run_rmss(case, params, spec, sigma_c="propagated")
         mc = run_monte_carlo(case, params, spec, n=10_000, seed=99)
         (point,) = report.points
-        (r,) = point.results
-        assert abs(r.c_wc_ub - mc.metric_ci_ub[0]) < 0.01
-        assert abs(r.c_wc_lb - mc.metric_ci_lb[0]) < 0.01
+        ((c_ub, c_lb),) = point.results
+        assert abs(c_ub - mc.metric_ci_ub[0]) < 0.01
+        assert abs(c_lb - mc.metric_ci_lb[0]) < 0.01
