@@ -36,6 +36,7 @@ from .powerflow import (
     MetricKind,
     MetricSpec,
     NewtonOptions,
+    PowerFlowEngine,
     PowerFlowSolution,
     build_admittance,
     default_metric_spec,
@@ -75,6 +76,7 @@ __all__ = [
     "MetricSpec",
     "NewtonOptions",
     "ParameterEntry",
+    "PowerFlowEngine",
     "PowerFlowSolution",
     "RmssError",
     "RmssReport",

@@ -39,7 +39,7 @@ from .matpower import parse_case
 from .model import GridCase, tag_essential, validate_case
 from .montecarlo import CI_MEAN, CI_PERCENTILE, McReport, mae_compare, run_monte_carlo
 from .parameters import Axis, StochasticParameterSet
-from .powerflow import MetricSpec, default_metric_spec, solve_power_flow
+from .powerflow import MetricSpec, PowerFlowEngine, default_metric_spec, solve_power_flow
 from .reportio import (
     write_json,
     write_manifest,
@@ -367,13 +367,14 @@ def cmd_sensitivity(case, essential, axes, sigma_p, correlation, metrics, seed, 
     def body():
         _out_dir(Path(out).parent)
         grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
-        sol = solve_power_flow(grid, injections=params.apply(grid, params.means))
+        engine = PowerFlowEngine(grid)
+        sol = solve_power_flow(engine, injections=params.apply(grid, params.means))
         if not sol.converged:
             raise NonConvergence(
                 f"power flow did not converge (history: {list(sol.mismatch_history)})",
                 solution=sol,
             )
-        sens = hybrid_sensitivities(grid, sol, params, spec, seed=_resolve_seed(seed))
+        sens = hybrid_sensitivities(engine, sol, params, spec, seed=_resolve_seed(seed))
         sens.to_csv(out)
         click.echo(f"{len(sens.metric_buses)}x{len(sens.parameter_labels)} matrix "
                    f"written to {out}")

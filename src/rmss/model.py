@@ -96,10 +96,11 @@ class GridCase:
         return self.generators + self.loads
 
     def component(self, comp_id: str) -> Generator | Load:
-        for c in self.components():
-            if c.id == comp_id:
-                return c
-        raise KeyError(comp_id)
+        return self.component_map()[comp_id]
+
+    def component_map(self) -> dict[str, Generator | Load]:
+        """Component id -> component (the first one listed, should ids repeat)."""
+        return {c.id: c for c in reversed(self.components())}
 
     def essential_components(self) -> tuple[Generator | Load, ...]:
         return tuple(c for c in self.components() if c.essential)

@@ -1,8 +1,10 @@
 """Seeded Monte Carlo power-flow oracle and accuracy/runtime comparison.
 
-Samples are drawn once up front from the seeded generator, so the solve
-phase can be chunked across workers without changing a single bit of the
-statistics: each sample's solve is a pure function of (case, sample).
+Samples are drawn once up front from the seeded generator and solved in
+fixed blocks of ``BLOCK_SIZE`` consecutive samples, each block as one
+lockstep Newton run of the case's power-flow engine. Workers receive whole
+blocks, and each sample's solve is a pure function of (case, sample), so
+the worker count cannot change a single bit of the statistics.
 """
 
 from __future__ import annotations
@@ -10,9 +12,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .exceptions import (
     AllSamplesFailed,
@@ -23,18 +26,24 @@ from .exceptions import (
 )
 from .model import GridCase
 from .parameters import StochasticParameterSet
-from .powerflow import (
+# build_admittance and evaluate_metrics are unused here but stay importable:
+# perfbench/layers.py traces them under this module.
+from .powerflow import (  # noqa: F401
     MetricSpec,
     NewtonOptions,
+    PowerFlowEngine,
     PowerFlowSolution,
     build_admittance,
     evaluate_metrics,
+    metric_positions,
     solve_power_flow,
 )
 from .worstcase import RmssReport
 
-_Z95 = float(norm.ppf(0.975))
+_Z95 = float(ndtri(0.975))
 _MAX_FAILURE_RATE = 0.01  # beyond this the comparison is unrepresentative
+
+BLOCK_SIZE = 64  # samples per lockstep Newton block
 
 CI_PERCENTILE = "percentile"  # empirical 2.5/97.5 percentiles of the metric distribution
 CI_MEAN = "mean"  # normal-theory confidence interval of the mean
@@ -61,33 +70,46 @@ def sample_parameters(params: StochasticParameterSet, n: int, seed: int) -> Samp
     return SampleBatch(values=params.means + z @ factor.T, seed=seed)
 
 
-def _solve_batch(
-    case: GridCase,
+@dataclass(eq=False)
+class _Solved:
+    """Per-sample outcome of a run of consecutive samples."""
+
+    metrics: np.ndarray  # (k, m), NaN rows for failed samples
+    converged: np.ndarray  # (k,) bool
+    iterations: np.ndarray  # (k,) Newton iterations per sample
+    block_seconds: list[float]  # wall time of each block
+    block_sizes: list[int]
+
+
+def _solve_samples(
+    engine: PowerFlowEngine,
     params: StochasticParameterSet,
     spec: MetricSpec,
     samples: np.ndarray,
-    start: PowerFlowSolution | None,
+    start: PowerFlowSolution,
     options: NewtonOptions,
-) -> tuple[np.ndarray, list[int], list[float]]:
-    ybus = build_admittance(case)
-    metrics = np.full((len(samples), len(spec)), np.nan)
-    failed: list[int] = []
-    times: list[float] = []
-    for i, row in enumerate(samples):
+) -> _Solved:
+    """Solve consecutive samples block by block; injections and states exist per block only."""
+    positions = metric_positions(engine.bus_ids, spec)
+    out = _Solved(
+        metrics=np.full((len(samples), len(spec)), np.nan),
+        converged=np.zeros(len(samples), dtype=bool),
+        iterations=np.zeros(len(samples), dtype=int),
+        block_seconds=[],
+        block_sizes=[],
+    )
+    for lo in range(0, len(samples), BLOCK_SIZE):
         t0 = time.perf_counter()
-        sol = solve_power_flow(
-            case, options, injections=params.apply(case, row), start=start, ybus=ybus
-        )
-        times.append(time.perf_counter() - t0)
-        if sol.converged:
-            metrics[i] = evaluate_metrics(sol, spec)
-        else:
-            failed.append(i)
-    return metrics, failed, times
-
-
-def _solve_batch_star(args):
-    return _solve_batch(*args)
+        block = slice(lo, lo + BLOCK_SIZE)
+        p, q = params.injections(engine.case, samples[block])
+        result = engine.solve(p, q, start=start, options=options)
+        ok = result.converged
+        out.metrics[block][ok] = np.abs(result.v[ok][:, positions])
+        out.converged[block] = ok
+        out.iterations[block] = result.iterations
+        out.block_seconds.append(time.perf_counter() - t0)
+        out.block_sizes.append(len(ok))
+    return out
 
 
 @dataclass(eq=False)
@@ -114,6 +136,10 @@ class McReport:
     per_solve_min_s: float
     workers: int = 1
     metric_samples: np.ndarray | None = field(default=None, repr=False)
+    failed_indices: np.ndarray = field(  # sample indices whose solve failed, ascending
+        default_factory=lambda: np.zeros(0, dtype=int), repr=False
+    )
+    newton_iterations: dict[int, int] = field(default_factory=dict)  # iterations -> samples
 
     def samples_to_csv(self, path) -> None:
         """Per-sample metric values for external analysis (NaN = failed solve)."""
@@ -153,6 +179,12 @@ class McReport:
         return {
             "case": self.case_name,
             "statistics": self.statistics_dict(),
+            "diagnostics": {
+                "failed_indices": self.failed_indices.tolist(),
+                "newton_iterations": {
+                    str(k): v for k, v in sorted(self.newton_iterations.items())
+                },
+            },
             "timing": {
                 "total_runtime_s": self.total_runtime_s,
                 "per_solve_mean_s": self.per_solve_mean_s,
@@ -163,10 +195,15 @@ class McReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "McReport":
-        """Rebuild a report written by :meth:`to_dict`; missing fields are a SchemaError."""
+        """Rebuild a report written by :meth:`to_dict`; missing fields are a SchemaError.
+
+        The ``diagnostics`` block is optional, so reports written before it
+        existed still load.
+        """
         try:
             stats, timing = data["statistics"], data["timing"]
             metrics, params = stats["metrics"], stats["parameters"]
+            diagnostics = data.get("diagnostics", {})
             return cls(
                 case_name=data["case"],
                 metric_buses=tuple(metrics["buses"]),
@@ -187,8 +224,12 @@ class McReport:
                 per_solve_mean_s=timing["per_solve_mean_s"],
                 per_solve_min_s=timing["per_solve_min_s"],
                 workers=data.get("workers", 1),
+                failed_indices=np.array(diagnostics.get("failed_indices", []), dtype=int),
+                newton_iterations={
+                    int(k): v for k, v in diagnostics.get("newton_iterations", {}).items()
+                },
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(f"malformed Monte Carlo report: missing or bad field {exc}") from exc
 
 
@@ -206,39 +247,38 @@ def run_monte_carlo(
     """One deterministic solve per sample; statistics over converged solves.
 
     Statistics depend only on (seed, n, params, case): the worker count
-    merely partitions the precomputed sample matrix.
+    merely decides which process solves each fixed block of samples.
     """
     if ci_method not in (CI_PERCENTILE, CI_MEAN):
         raise ValueError(f"unknown ci_method {ci_method!r}")
     t0 = time.perf_counter()
     opts = options or NewtonOptions()
 
-    nominal = solve_power_flow(
-        case, opts, injections=params.apply(case, params.means)
-    )
+    engine = PowerFlowEngine(case)
+    nominal = solve_power_flow(engine, opts, injections=params.apply(case, params.means))
     if not nominal.converged:
         raise AllSamplesFailed("nominal power flow did not converge")
 
     batch = sample_parameters(params, n, seed)
-    if workers <= 1 or n < 2 * workers:
-        metrics, failed, times = _solve_batch(case, params, spec, batch.values, nominal, opts)
+    n_blocks = -(-n // BLOCK_SIZE)
+    jobs = min(workers, n_blocks)
+    solve = partial(_solve_samples, engine, params, spec, start=nominal, options=opts)
+    if jobs <= 1:
+        parts = [solve(batch.values)]
     else:
-        chunks = np.array_split(batch.values, workers)
-        jobs = [(case, params, spec, chunk, nominal, opts) for chunk in chunks if len(chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_solve_batch_star, jobs))
-        metrics = np.concatenate([p[0] for p in parts]) if parts else np.empty((0, len(spec)))
-        failed, times = [], []
-        offset = 0
-        for chunk_metrics, chunk_failed, chunk_times in parts:
-            failed.extend(offset + i for i in chunk_failed)
-            times.extend(chunk_times)
-            offset += len(chunk_metrics)
+        # Contiguous runs of whole blocks, one run per worker.
+        edges = [BLOCK_SIZE * blocks[0] for blocks in np.array_split(range(n_blocks), jobs)]
+        chunks = [batch.values[a:b] for a, b in zip(edges, edges[1:] + [n])]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(solve, chunks))
+    metrics = np.concatenate([part.metrics for part in parts])
+    converged = np.concatenate([part.converged for part in parts])
+    iterations = np.bincount(np.concatenate([part.iterations for part in parts]))
+    block_seconds = [t for part in parts for t in part.block_seconds]
+    block_sizes = [k for part in parts for k in part.block_sizes]
 
-    n_failed = len(failed)
-    ok = np.ones(n, dtype=bool)
-    ok[failed] = False
-    good = metrics[ok]
+    failed = np.flatnonzero(~converged)
+    good = metrics[converged]
     if n > 0 and len(good) == 0:
         raise AllSamplesFailed(f"all {n} sampled solves diverged")
 
@@ -260,7 +300,7 @@ def run_monte_carlo(
         metric_buses=spec.buses,
         parameter_labels=params.labels(),
         n_samples=n,
-        n_failed=n_failed,
+        n_failed=len(failed),
         seed=seed,
         ci_method=ci_method,
         metric_mean=mean,
@@ -272,10 +312,12 @@ def run_monte_carlo(
         param_ci_lb=params.means - _Z95 * params.stdevs,
         param_ci_ub=params.means + _Z95 * params.stdevs,
         total_runtime_s=total,
-        per_solve_mean_s=float(np.mean(times)) if times else 0.0,
-        per_solve_min_s=float(np.min(times)) if times else 0.0,
+        per_solve_mean_s=sum(block_seconds) / n if n else 0.0,
+        per_solve_min_s=min(t / k for t, k in zip(block_seconds, block_sizes)) if n else 0.0,
         workers=workers,
         metric_samples=metrics if keep_samples else None,
+        failed_indices=failed,
+        newton_iterations={k: int(c) for k, c in enumerate(iterations) if c},
     )
 
 

@@ -87,23 +87,39 @@ class StochasticParameterSet:
             return u @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
     def bus_map(self, case: GridCase) -> np.ndarray:
-        """Bus position (case order) of each entry's host component."""
+        """Bus position (case order) of each entry's host component.
+
+        An id the case does not know raises ``KeyError`` like
+        :meth:`GridCase.component`.
+        """
         idx = case.bus_index()
-        return np.array([idx[case.component(e.component).bus] for e in self.entries])
+        comps = case.component_map()
+        return np.array([idx[comps[e.component].bus] for e in self.entries], dtype=int)
+
+    def injections(
+        self, case: GridCase, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-bus net (p, q) injections, (S, n) each, for (S, d) parameter rows.
+
+        Each row is the case's injections with that row's entry values
+        substituted for the means, added entry by entry in entry order.
+        """
+        values = np.atleast_2d(values)
+        delta = values - self.means
+        p0, q0 = case.injections()
+        p = np.tile(p0, (len(values), 1))
+        q = np.tile(q0, (len(values), 1))
+        for k, (entry, bus) in enumerate(zip(self.entries, self.bus_map(case))):
+            target = p if entry.axis is Axis.P else q
+            target[:, bus] += delta[:, k]
+        return p, q
 
     def apply(
         self, case: GridCase, values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-bus net (p, q) injections with entry values substituted for means."""
-        p, q = case.injections()
-        delta = np.asarray(values) - self.means
-        buses = self.bus_map(case)
-        for k, entry in enumerate(self.entries):
-            if entry.axis is Axis.P:
-                p[buses[k]] += delta[k]
-            else:
-                q[buses[k]] += delta[k]
-        return p, q
+        p, q = self.injections(case, values)
+        return p[0], q[0]
 
     @classmethod
     def from_case(

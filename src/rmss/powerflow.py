@@ -101,24 +101,26 @@ class PowerFlowSolution:
     q_pv: dict[int, float] = field(default_factory=dict)  # solved net Q at PV buses
 
 
-class CurrentInjectionSystem:
-    """Residual/Jacobian of the rectangular current-injection equations.
+class PowerFlowEngine:
+    """Newton solver on the rectangular current-injection equations, built once per case.
 
-    State layout: [e_0, f_0, e_1, f_1, ..., Q at PV buses]. Slack rows are
-    identity constraints on the slack voltage; PV buses get an extra
-    squared-magnitude row paired with their reactive-injection column.
+    State layout per sample: [e_0, f_0, e_1, f_1, ..., Q at PV buses]. Slack
+    rows are identity constraints on the slack voltage; PV buses get an
+    extra squared-magnitude row paired with their reactive-injection
+    column. The engine holds everything that does not depend on the
+    injections: Ybus, the bus-kind index arrays and the fixed CSC pattern
+    of the Jacobian, with its constant entries already in place and a
+    scatter map for the injection-dependent ones. :meth:`solve` runs full
+    Newton on a block of samples in lockstep, each sample with its own
+    Jacobian and LU, so a sample's iterates do not depend on the block it
+    is solved in.
     """
 
-    def __init__(
-        self,
-        case: GridCase,
-        ybus: AdmittanceMatrix | None = None,
-        injections: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
+    def __init__(self, case: GridCase):
         self.case = case
         self.n = n = len(case.buses)
-        ybus = ybus if ybus is not None else build_admittance(case)
-        self.y = ybus.y
+        self.bus_ids = tuple(b.id for b in case.buses)
+        self.y = build_admittance(case).y
         kinds = [b.kind for b in case.buses]
         if BusKind.SLACK not in kinds:
             raise TopologyError("case has no slack bus")
@@ -127,10 +129,7 @@ class CurrentInjectionSystem:
         self.pq = np.array([i for i, k in enumerate(kinds) if k is BusKind.PQ], dtype=int)
         self.nonslack = np.array([i for i in range(n) if i != self.slack], dtype=int)
         self.dim = 2 * n + len(self.pv)
-
-        p, q = injections if injections is not None else case.injections()
-        self.p = np.asarray(p, dtype=float)
-        self.q = np.asarray(q, dtype=float)
+        self.case_injections = case.injections()
 
         slack_bus = case.buses[self.slack]
         ang = slack_bus.angle_setpoint or 0.0
@@ -138,9 +137,9 @@ class CurrentInjectionSystem:
         self.slack_f = slack_bus.v_setpoint * np.sin(ang)
         self.v_set_pv = np.array([case.buses[i].v_setpoint for i in self.pv])
 
-        coo = self.y.tocoo()
-        keep = coo.row != self.slack  # slack rows are identity, not KCL
-        yr, yc, yv = coo.row[keep], coo.col[keep], coo.data[keep]
+        rows = np.repeat(np.arange(n), np.diff(self.y.indptr))
+        keep = rows != self.slack  # slack rows are identity, not KCL
+        yr, yc, yv = rows[keep], self.y.indices[keep], self.y.data[keep]
         g, b = yv.real, yv.imag
         const_rows = np.concatenate(
             [2 * yr, 2 * yr, 2 * yr + 1, 2 * yr + 1, [2 * self.slack, 2 * self.slack + 1]]
@@ -148,84 +147,116 @@ class CurrentInjectionSystem:
         const_cols = np.concatenate(
             [2 * yc, 2 * yc + 1, 2 * yc, 2 * yc + 1, [2 * self.slack, 2 * self.slack + 1]]
         )
-        self._const_vals = np.concatenate([-g, b, -b, -g, [1.0, 1.0]])
+        const_vals = np.concatenate([-g, b, -b, -g, [1.0, 1.0]])
 
         ns = self.nonslack
-        inj_rows = np.repeat(2 * ns, 4) + np.tile([0, 0, 1, 1], len(ns))
-        inj_cols = np.repeat(2 * ns, 4) + np.tile([0, 1, 0, 1], len(ns))
         qcol = 2 * n + np.arange(len(self.pv))
-        pvq_rows = np.column_stack([2 * self.pv, 2 * self.pv + 1]).ravel()
-        pvq_cols = np.repeat(qcol, 2)
-        mag_rows = np.repeat(qcol, 2)
-        mag_cols = np.column_stack([2 * self.pv, 2 * self.pv + 1]).ravel()
+        pv_rows = np.column_stack([2 * self.pv, 2 * self.pv + 1]).ravel()
+        var_rows = np.concatenate(
+            [np.repeat(2 * ns, 4) + np.tile([0, 0, 1, 1], len(ns)), pv_rows, np.repeat(qcol, 2)]
+        )
+        var_cols = np.concatenate(
+            [np.repeat(2 * ns, 4) + np.tile([0, 1, 0, 1], len(ns)), np.repeat(qcol, 2), pv_rows]
+        )
 
-        self._rows = np.concatenate([const_rows, inj_rows, pvq_rows, mag_rows])
-        self._cols = np.concatenate([const_cols, inj_cols, pvq_cols, mag_cols])
+        # Canonical CSC pattern (column-major, sorted rows) of the union of
+        # both entry sets. Where an injection entry shares a position with a
+        # constant one the two are summed; elsewhere the template holds -0.0,
+        # the additive identity that leaves every injection value bit-exact.
+        keys = np.concatenate([const_cols, var_cols]) * self.dim + np.concatenate(
+            [const_rows, var_rows]
+        )
+        pattern, slot = np.unique(keys, return_inverse=True)
+        self._indices = (pattern % self.dim).astype(np.intc)
+        self._indptr = np.searchsorted(pattern // self.dim, np.arange(self.dim + 1)).astype(
+            np.intc
+        )
+        self._template = np.full(len(pattern), -0.0)
+        self._template[slot[: len(const_vals)]] = const_vals
+        self._var_slots = slot[len(const_vals) :]
 
-    def initial_state(self, start: PowerFlowSolution | None = None) -> np.ndarray:
-        x = np.zeros(self.dim)
+    def _initial_states(
+        self, q: np.ndarray, start: PowerFlowSolution | None = None
+    ) -> np.ndarray:
+        """(S, dim) starting states: ``start``'s solution, else a flat start."""
+        x = np.zeros((len(q), self.dim))
         if start is not None:
-            x[0 : 2 * self.n : 2] = start.v.real
-            x[1 : 2 * self.n : 2] = start.v.imag
+            x[:, 0 : 2 * self.n : 2] = start.v.real
+            x[:, 1 : 2 * self.n : 2] = start.v.imag
             for j, i in enumerate(self.pv):
-                x[2 * self.n + j] = start.q_pv.get(self.case.buses[i].id, self.q[i])
+                bus_id = self.bus_ids[i]
+                x[:, 2 * self.n + j] = start.q_pv[bus_id] if bus_id in start.q_pv else q[:, i]
         else:
-            x[0 : 2 * self.n : 2] = 1.0
-            x[0 + 2 * self.pv] = self.v_set_pv
-            x[2 * self.n :] = self.q[self.pv]
-        x[2 * self.slack] = self.slack_e
-        x[2 * self.slack + 1] = self.slack_f
-        return x
+            x[:, 0 : 2 * self.n : 2] = 1.0
+            x[:, 2 * self.pv] = self.v_set_pv
+            x[:, 2 * self.n :] = q[:, self.pv]
+        return self._pin_slack(x)
 
-    def _split(self, x: np.ndarray):
-        e = x[0 : 2 * self.n : 2]
-        f = x[1 : 2 * self.n : 2]
-        q_eff = self.q.copy()
-        q_eff[self.pv] = x[2 * self.n :]
-        return e, f, q_eff
-
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        e, f, q_eff = self._split(x)
+    def _terms(self, x: np.ndarray, q: np.ndarray):
+        """Per-row e, f, effective Q (PV rows from the state), V and network currents Y V."""
+        e = x[:, 0 : 2 * self.n : 2]
+        f = x[:, 1 : 2 * self.n : 2]
+        q_eff = q.copy()
+        q_eff[:, self.pv] = x[:, 2 * self.n :]
         v = e + 1j * f
-        i_net = self.y @ v
+        return e, f, q_eff, v, (self.y @ v.T).T
+
+    def _mismatch(self, v, i_net, p, q) -> np.ndarray:
+        """Worst specified-vs-computed power mismatch over non-slack buses, pu, per row."""
+        s_calc = v * np.conj(i_net)
+        parts = [
+            np.abs(p[:, self.nonslack] - s_calc.real[:, self.nonslack]),
+            np.abs(q[:, self.pq] - s_calc.imag[:, self.pq]),
+            np.abs(np.abs(v[:, self.pv]) - self.v_set_pv),
+        ]
+        # Python's max() semantics: a part replaces the running value only
+        # when strictly greater, so a NaN part never displaces a number.
+        worst = None
+        for part in parts:
+            peak = part.max(axis=1) if part.shape[1] else np.zeros(len(v))
+            worst = peak if worst is None else np.where(peak > worst, peak, worst)
+        return worst
+
+    def _residual(self, e, f, q_eff, i_net, p) -> np.ndarray:
         d = e * e + f * f
-        res = np.empty(self.dim)
-        res[0 : 2 * self.n : 2] = (self.p * e + q_eff * f) / d - i_net.real
-        res[1 : 2 * self.n : 2] = (self.p * f - q_eff * e) / d - i_net.imag
-        res[2 * self.slack] = e[self.slack] - self.slack_e
-        res[2 * self.slack + 1] = f[self.slack] - self.slack_f
-        res[2 * self.n :] = e[self.pv] ** 2 + f[self.pv] ** 2 - self.v_set_pv**2
+        res = np.empty((len(e), self.dim))
+        res[:, 0 : 2 * self.n : 2] = (p * e + q_eff * f) / d - i_net.real
+        res[:, 1 : 2 * self.n : 2] = (p * f - q_eff * e) / d - i_net.imag
+        res[:, 2 * self.slack] = e[:, self.slack] - self.slack_e
+        res[:, 2 * self.slack + 1] = f[:, self.slack] - self.slack_f
+        res[:, 2 * self.n :] = e[:, self.pv] ** 2 + f[:, self.pv] ** 2 - self.v_set_pv**2
         return res
 
-    def jacobian(self, x: np.ndarray) -> sparse.csc_matrix:
-        e, f, q_eff = self._split(x)
-        d = e * e + f * f
-        ns = self.nonslack
-        a = (self.p * (f * f - e * e) - 2.0 * q_eff * e * f) / (d * d)
-        b = (q_eff * (e * e - f * f) - 2.0 * self.p * e * f) / (d * d)
-        inj_vals = np.column_stack([a[ns], b[ns], b[ns], -a[ns]]).ravel()
-        pvq_vals = np.column_stack([f[self.pv] / d[self.pv], -e[self.pv] / d[self.pv]]).ravel()
-        mag_vals = np.column_stack([2.0 * e[self.pv], 2.0 * f[self.pv]]).ravel()
-        vals = np.concatenate([self._const_vals, inj_vals, pvq_vals, mag_vals])
-        return sparse.csc_matrix((vals, (self._rows, self._cols)), shape=(self.dim, self.dim))
+    def _jacobian_data(self, e, f, q_eff, p) -> np.ndarray:
+        """(S, nnz) CSC data of each row's Jacobian on the engine's fixed pattern."""
+        ee, ff = e * e, f * f
+        d = ee + ff
+        dd = d * d
+        ns, pv = self.nonslack, self.pv
+        a = ((p * (ff - ee) - 2.0 * q_eff * e * f) / dd)[:, ns]
+        b = ((q_eff * (ee - ff) - 2.0 * p * e * f) / dd)[:, ns]
+        e_pv, f_pv, d_pv = e[:, pv], f[:, pv], d[:, pv]
+        k, m = 4 * len(ns), 2 * len(pv)
+        var = np.empty((len(e), len(self._var_slots)))
+        var[:, 0:k:4], var[:, 1:k:4], var[:, 2:k:4], var[:, 3:k:4] = a, b, b, -a
+        var[:, k : k + m : 2] = f_pv / d_pv
+        var[:, k + 1 : k + m : 2] = -e_pv / d_pv
+        var[:, k + m :: 2] = 2.0 * e_pv
+        var[:, k + m + 1 :: 2] = 2.0 * f_pv
+        data = np.tile(self._template, (len(e), 1))
+        data[:, self._var_slots] += var
+        return data
 
-    def power_mismatch(self, x: np.ndarray) -> float:
-        """Worst specified-vs-computed power mismatch over non-slack buses, pu."""
-        e, f, q_eff = self._split(x)
-        v = e + 1j * f
-        s_calc = v * np.conj(self.y @ v)
-        dp = np.abs(self.p[self.nonslack] - s_calc.real[self.nonslack])
-        dq = np.abs(self.q[self.pq] - s_calc.imag[self.pq])
-        dv = np.abs(np.abs(v[self.pv]) - self.v_set_pv)
-        parts = [dp, dq, dv]
-        return max(float(np.max(part)) if len(part) else 0.0 for part in parts)
+    def _jacobian(self, data: np.ndarray) -> sparse.csc_matrix:
+        """A Jacobian with the CSC values ``data`` on the engine's fixed pattern."""
+        return sparse.csc_matrix((data, self._indices, self._indptr), shape=(self.dim, self.dim))
 
-    def factorize(self, x: np.ndarray):
-        jac = self.jacobian(x)
+    def _factorize(self, jac: sparse.csc_matrix):
+        """Sparse LU of one Jacobian; an uncoupled bus is named in the error."""
         try:
             return splu(jac)
         except RuntimeError as exc:
-            row_mass = np.asarray(np.abs(jac).sum(axis=1)).ravel()
+            row_mass = np.bincount(jac.indices, weights=np.abs(jac.data), minlength=self.dim)
             if np.any(row_mass == 0.0):
                 row = int(np.flatnonzero(row_mass == 0.0)[0])
                 bus = self.case.buses[row // 2 if row < 2 * self.n else self.pv[row - 2 * self.n]]
@@ -234,64 +265,133 @@ class CurrentInjectionSystem:
                 ) from exc
             raise JacobianSingular(f"factorization failed: {exc}") from exc
 
-    def pin_slack(self, x: np.ndarray) -> np.ndarray:
+    def factorize_at(self, start: PowerFlowSolution, p: np.ndarray, q: np.ndarray):
+        """Sparse LU of the Jacobian at ``start``'s state under one row of injections."""
+        p, q = np.atleast_2d(p), np.atleast_2d(q)
+        e, f, q_eff, _, _ = self._terms(self._initial_states(q, start), q)
+        return self._factorize(self._jacobian(self._jacobian_data(e, f, q_eff, p)[0]))
+
+    def _pin_slack(self, x: np.ndarray) -> np.ndarray:
         """Hold the slack voltage at its setpoint bit-exactly."""
-        x[2 * self.slack] = self.slack_e
-        x[2 * self.slack + 1] = self.slack_f
+        x[:, 2 * self.slack] = self.slack_e
+        x[:, 2 * self.slack + 1] = self.slack_f
         return x
 
-    def solution_from_state(
-        self, x: np.ndarray, iterations: int, history: list[float], converged: bool
-    ) -> PowerFlowSolution:
-        e, f, q_eff = self._split(x)
-        return PowerFlowSolution(
-            v=e + 1j * f,
-            bus_ids=tuple(b.id for b in self.case.buses),
-            iterations=iterations,
-            max_mismatch=history[-1],
+    def solve(
+        self,
+        p: np.ndarray,
+        q: np.ndarray,
+        start: PowerFlowSolution | None = None,
+        options: NewtonOptions | None = None,
+    ) -> BatchSolution:
+        """Full Newton on each row of the (S, n) injections, all rows in lockstep.
+
+        A row stops when its mismatch meets the tolerance (converged), turns
+        non-finite or exceeds the divergence limit, its state turns
+        non-finite, or it reaches ``max_iter``; the others iterate on.
+        """
+        opts = options or NewtonOptions()
+        p, q = np.atleast_2d(p), np.atleast_2d(q)
+        x = self._initial_states(q, start)
+        history = np.full((len(x), opts.max_iter + 2), np.nan)
+        iterations = np.full(len(x), opts.max_iter)  # Newton steps each row ran
+        converged = np.zeros(len(x), dtype=bool)
+        jac = self._jacobian(self._template.copy())  # each row swaps its values in
+        # The rows still iterating: their indices, states and injections.
+        rows, xa, pa, qa = np.arange(len(x)), x, p, q
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for it in range(opts.max_iter + 1):
+                e, f, q_eff, v, i_net = self._terms(xa, qa)
+                mismatch = self._mismatch(v, i_net, pa, qa)
+                history[rows, it] = mismatch
+                ok = mismatch <= opts.tolerance
+                stop = ok | ~np.isfinite(mismatch) | (mismatch > _DIVERGENCE_LIMIT)
+                if stop.any():
+                    converged[rows[ok]] = True
+                    iterations[rows[stop]] = it
+                    x[rows[stop]] = xa[stop]
+                    keep = ~stop
+                    rows, xa, pa, qa = rows[keep], xa[keep], pa[keep], qa[keep]
+                    e, f, q_eff, i_net = e[keep], f[keep], q_eff[keep], i_net[keep]
+                if it == opts.max_iter or not len(rows):
+                    break
+                data = self._jacobian_data(e, f, q_eff, pa)
+                rhs = -self._residual(e, f, q_eff, i_net, pa)
+                step = np.empty_like(rhs)
+                for r in range(len(rows)):
+                    jac.data = data[r]
+                    step[r] = self._factorize(jac).solve(rhs[r])
+                xa = self._pin_slack(xa + step)
+                finite = np.isfinite(xa).all(axis=1)
+                if not finite.all():
+                    blown = rows[~finite]
+                    history[blown, it + 1] = np.inf
+                    iterations[blown] = it + 1
+                    x[blown] = xa[~finite]
+                    rows, xa, pa, qa = rows[finite], xa[finite], pa[finite], qa[finite]
+        x[rows] = xa  # rows that ran out of iterations
+        return BatchSolution(
+            v=x[:, 0 : 2 * self.n : 2] + 1j * x[:, 1 : 2 * self.n : 2],
+            q_pv=x[:, 2 * self.n :],
+            bus_ids=self.bus_ids,
+            pv_ids=tuple(self.bus_ids[i] for i in self.pv),
             converged=converged,
-            mismatch_history=tuple(history),
-            q_pv={self.case.buses[i].id: float(x[2 * self.n + j]) for j, i in enumerate(self.pv)},
+            iterations=iterations,
+            history=history,
+        )
+
+
+@dataclass(eq=False)
+class BatchSolution:
+    """Per-row results of one :meth:`PowerFlowEngine.solve` call."""
+
+    v: np.ndarray  # (S, n) complex bus voltages, case bus order
+    q_pv: np.ndarray  # (S, n_pv) solved net Q at PV buses
+    bus_ids: tuple[int, ...]
+    pv_ids: tuple[int, ...]
+    converged: np.ndarray  # (S,) bool
+    iterations: np.ndarray  # (S,) Newton iterations each row ran
+    history: np.ndarray  # (S, max_iter + 2) mismatch per iteration; row k has iterations[k] + 1
+
+    def solution(self, k: int) -> PowerFlowSolution:
+        """Row k as a :class:`PowerFlowSolution`."""
+        history = tuple(float(m) for m in self.history[k, : self.iterations[k] + 1])
+        return PowerFlowSolution(
+            v=self.v[k],
+            bus_ids=self.bus_ids,
+            iterations=int(self.iterations[k]),
+            max_mismatch=history[-1],
+            converged=bool(self.converged[k]),
+            mismatch_history=history,
+            q_pv={b: float(q) for b, q in zip(self.pv_ids, self.q_pv[k])},
         )
 
 
 _DIVERGENCE_LIMIT = 1e8
 
 
+def engine_for(case: GridCase | PowerFlowEngine) -> PowerFlowEngine:
+    """The engine for ``case``: ``case`` itself when it already is one, else built here."""
+    return case if isinstance(case, PowerFlowEngine) else PowerFlowEngine(case)
+
+
 def solve_power_flow(
-    case: GridCase,
+    case: GridCase | PowerFlowEngine,
     options: NewtonOptions | None = None,
     injections: tuple[np.ndarray, np.ndarray] | None = None,
     start: PowerFlowSolution | None = None,
-    ybus: AdmittanceMatrix | None = None,
 ) -> PowerFlowSolution:
     """Newton power flow; deterministic for fixed inputs.
 
-    Returns a solution with ``converged=False`` plus the mismatch history
-    when the iteration fails, rather than raising; callers that need a
-    converged base point raise on that flag.
+    The one-row case of :meth:`PowerFlowEngine.solve`; pass an engine
+    already built for the case to skip building one. Returns a solution
+    with ``converged=False`` plus the mismatch history when the iteration
+    fails, rather than raising; callers that need a converged base point
+    raise on that flag.
     """
-    opts = options or NewtonOptions()
-    system = CurrentInjectionSystem(case, ybus=ybus, injections=injections)
-    x = system.initial_state(start)
-
-    history: list[float] = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for it in range(opts.max_iter + 1):
-            mismatch = system.power_mismatch(x)
-            history.append(mismatch)
-            if not np.isfinite(mismatch) or mismatch > _DIVERGENCE_LIMIT:
-                return system.solution_from_state(x, it, history, converged=False)
-            if mismatch <= opts.tolerance:
-                return system.solution_from_state(x, it, history, converged=True)
-            if it == opts.max_iter:
-                break
-            lu = system.factorize(x)
-            x = system.pin_slack(x + lu.solve(-system.residual(x)))
-            if not np.all(np.isfinite(x)):
-                history.append(float("inf"))
-                return system.solution_from_state(x, it + 1, history, converged=False)
-    return system.solution_from_state(x, opts.max_iter, history, converged=False)
+    engine = engine_for(case)
+    p, q = injections if injections is not None else engine.case_injections
+    return engine.solve(p, q, start, options).solution(0)
 
 
 class MetricKind(Enum):
@@ -334,14 +434,17 @@ def default_metric_spec(case: GridCase) -> MetricSpec:
     return MetricSpec.voltages_at(buses)
 
 
+def metric_positions(bus_ids: tuple[int, ...], spec: MetricSpec) -> np.ndarray:
+    """Case-order position of each metric's bus, in spec order."""
+    pos = {bus_id: i for i, bus_id in enumerate(bus_ids)}
+    missing = [m.bus for m in spec.entries if m.bus not in pos]
+    if missing:
+        raise UnknownBus(f"metric references unknown bus {missing[0]}")
+    return np.array([pos[m.bus] for m in spec.entries], dtype=int)
+
+
 def evaluate_metrics(sol: PowerFlowSolution, spec: MetricSpec) -> np.ndarray:
     """Metric values in spec order; requires a converged solution."""
     if not sol.converged:
         raise NotConverged("metrics requested on a non-converged power flow")
-    pos = {bus_id: i for i, bus_id in enumerate(sol.bus_ids)}
-    out = np.empty(len(spec))
-    for i, metric in enumerate(spec.entries):
-        if metric.bus not in pos:
-            raise UnknownBus(f"metric references unknown bus {metric.bus}")
-        out[i] = abs(sol.v[pos[metric.bus]])
-    return out
+    return np.abs(sol.v[metric_positions(sol.bus_ids, spec)])

@@ -12,10 +12,17 @@ from .worstcase import RmssReport
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place.
+
+    The file gets the mode a plain ``open`` would give it (0o666 less the
+    umask), not the owner-only mode of the temp file.
+    """
     path = Path(path)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -9,6 +9,7 @@ and as the nonlinearity detector for the statistical fallback.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -20,19 +21,21 @@ from .exceptions import (
     NonConvergence,
     NotConverged,
     TopologyError,
-    UnknownBus,
     ZeroStep,
 )
 from .model import BusKind, GridCase
 from .parameters import Axis, StochasticParameterSet
-from .powerflow import (
-    AdmittanceMatrix,
-    CurrentInjectionSystem,
+# build_admittance, evaluate_metrics and solve_power_flow are unused here but stay
+# importable: perfbench/layers.py traces them under this module.
+from .powerflow import (  # noqa: F401
     MetricSpec,
     NewtonOptions,
+    PowerFlowEngine,
     PowerFlowSolution,
     build_admittance,
+    engine_for,
     evaluate_metrics,
+    metric_positions,
     solve_power_flow,
 )
 from .sobol import sobol_rescaled_slopes
@@ -66,44 +69,41 @@ class SensitivityMatrix:
             fh.write("\n".join(lines) + "\n")
 
 
-def _require_pq_parameters(case: GridCase, params: StochasticParameterSet) -> None:
-    kind_of = {b.id: b.kind for b in case.buses}
-    for entry in params.entries:
-        bus = case.component(entry.component).bus
-        if kind_of[bus] is not BusKind.PQ:
+def _require_pq_parameters(case: GridCase, params: StochasticParameterSet) -> np.ndarray:
+    """Host bus position of each parameter; every host must be a PQ bus."""
+    buses = params.bus_map(case)
+    for entry, i in zip(params.entries, buses):
+        bus = case.buses[i]
+        if bus.kind is not BusKind.PQ:
             raise TopologyError(
-                f"parameter {entry.component}.{entry.axis.value} sits on non-PQ bus {bus}"
+                f"parameter {entry.component}.{entry.axis.value} sits on non-PQ bus {bus.id}"
             )
+    return buses
 
 
 def adjoint_sensitivities(
-    case: GridCase,
+    case: GridCase | PowerFlowEngine,
     sol: PowerFlowSolution,
     params: StochasticParameterSet,
     spec: MetricSpec,
-    ybus: AdmittanceMatrix | None = None,
 ) -> SensitivityMatrix:
     """Gradient of every metric via one multi-right-hand-side transposed solve.
 
     The residual at the solution is differentiated in-place: injection
     parameters enter only the excitation side of the network equations, so
     each gradient entry is an inner product of the adjoint vector with the
-    two local current-derivative terms of the host bus.
+    two local current-derivative terms of the host bus. ``case`` may be an
+    engine already built for the case.
     """
     if not sol.converged:
         raise NotConverged("adjoint analysis requires a converged solution")
-    _require_pq_parameters(case, params)
+    engine = engine_for(case)
+    buses = _require_pq_parameters(engine.case, params)
 
-    system = CurrentInjectionSystem(
-        case, ybus=ybus, injections=params.apply(case, params.means)
-    )
-    x = system.initial_state(sol)
-    lu = system.factorize(x)
+    lu = engine.factorize_at(sol, *params.apply(engine.case, params.means))
 
-    pos = {bus_id: i for i, bus_id in enumerate(sol.bus_ids)}
     e, f = sol.v.real, sol.v.imag
     d = e * e + f * f
-    buses = params.bus_map(case)
     axes = np.array([entry.axis is Axis.P for entry in params.entries])
 
     # dF/dparam columns: only the host bus current rows are nonzero.
@@ -111,10 +111,7 @@ def adjoint_sensitivities(
     dfi = np.where(axes, f[buses], -e[buses]) / d[buses]
 
     metric_buses = spec.buses
-    missing = [b for b in metric_buses if b not in pos]
-    if missing:
-        raise UnknownBus(f"metric references unknown bus {missing[0]}")
-    k = np.array([pos[b] for b in metric_buses], dtype=int)
+    k = metric_positions(sol.bus_ids, spec)
     mag = np.hypot(e[k], f[k])
     live = mag > 1e-9
     for bus in np.asarray(metric_buses)[~live]:
@@ -124,7 +121,7 @@ def adjoint_sensitivities(
     rows, k, mag = np.flatnonzero(live), k[live], mag[live]
 
     # One right-hand side d|V_k|/dx per live metric, all solved in one call.
-    g = np.zeros((system.dim, len(rows)))
+    g = np.zeros((engine.dim, len(rows)))
     cols = np.arange(len(rows))
     g[2 * k, cols] = e[k] / mag
     g[2 * k + 1, cols] = f[k] / mag
@@ -143,45 +140,45 @@ def adjoint_sensitivities(
 
 
 def finite_difference_sensitivities(
-    case: GridCase,
+    case: GridCase | PowerFlowEngine,
     sol: PowerFlowSolution,
     params: StochasticParameterSet,
     spec: MetricSpec,
     step: float = 1e-6,
-    ybus: AdmittanceMatrix | None = None,
     columns: np.ndarray | None = None,
 ) -> SensitivityMatrix:
-    """Central-difference estimate, two warm-started solves per parameter.
+    """Central-difference estimate, two solves warm-started from ``sol`` per parameter.
 
-    ``columns`` restricts the differencing to a subset of parameters
-    (others stay zero); used by the hybrid probe.
+    Every +/-step probe is one row of a single engine block. ``columns``
+    restricts the differencing to a subset of parameters (others stay
+    zero); used by the hybrid probe. ``case`` may be an engine already
+    built for the case.
     """
     if step <= 0:
         raise ZeroStep(f"finite-difference step must be positive, got {step}")
     if not sol.converged:
         raise NotConverged("finite differences require a converged base solution")
-    ybus = ybus if ybus is not None else build_admittance(case)
+    engine = engine_for(case)
     opts = NewtonOptions(tolerance=_FD_TOLERANCE, max_iter=60)
 
     cols = np.arange(len(params)) if columns is None else np.asarray(columns)
-    values = np.zeros((len(spec), len(params)))
-    for j in cols:
-        shifted = {}
-        for sign in (+1.0, -1.0):
-            vals = params.means
-            vals[j] += sign * step
-            pert = solve_power_flow(
-                case, opts, injections=params.apply(case, vals), start=sol, ybus=ybus
-            )
-            if not pert.converged:
-                raise NonConvergence(
-                    f"perturbed solve diverged at {params.labels()[j]} "
-                    f"{'+' if sign > 0 else '-'}{step}",
-                    solution=pert,
-                )
-            shifted[sign] = evaluate_metrics(pert, spec)
-        values[:, j] = (shifted[+1.0] - shifted[-1.0]) / (2.0 * step)
+    signs = (+1.0, -1.0)
+    probes = np.tile(params.means, (2 * len(cols), 1))
+    for r, (j, sign) in enumerate(itertools.product(cols, signs)):
+        probes[r, j] += sign * step
+    result = engine.solve(*params.injections(engine.case, probes), start=sol, options=opts)
+    failed = np.flatnonzero(~result.converged)
+    if len(failed):
+        r = int(failed[0])
+        raise NonConvergence(
+            f"perturbed solve diverged at {params.labels()[cols[r // 2]]} "
+            f"{'+' if signs[r % 2] > 0 else '-'}{step}",
+            solution=result.solution(r),
+        )
+    shifted = np.abs(result.v[:, metric_positions(engine.bus_ids, spec)])
 
+    values = np.zeros((len(spec), len(params)))
+    values[:, cols] = ((shifted[0::2] - shifted[1::2]) / (2.0 * step)).T
     return SensitivityMatrix(
         values=values,
         metric_buses=spec.buses,
@@ -197,27 +194,24 @@ def _probe_columns(d: int, limit: int = 4) -> np.ndarray:
     return np.unique(np.linspace(0, d - 1, limit).round().astype(int))
 
 
-def _powerflow_evaluator(case, params, spec, base_sol, ybus):
+def _powerflow_evaluator(engine, params, spec, base_sol):
     """Batched parameter-matrix -> metric-matrix evaluator for Sobol runs."""
 
     opts = NewtonOptions()
+    positions = metric_positions(engine.bus_ids, spec)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        out = np.empty((x.shape[0], len(spec)))
-        for i, row in enumerate(x):
-            pert = solve_power_flow(
-                case, opts, injections=params.apply(case, row), start=base_sol, ybus=ybus
-            )
-            if not pert.converged:
-                raise ModelEvaluationError("power flow diverged", sample_index=i)
-            out[i] = evaluate_metrics(pert, spec)
-        return out
+        result = engine.solve(*params.injections(engine.case, x), start=base_sol, options=opts)
+        failed = np.flatnonzero(~result.converged)
+        if len(failed):
+            raise ModelEvaluationError("power flow diverged", sample_index=int(failed[0]))
+        return np.abs(result.v[:, positions])
 
     return evaluate
 
 
 def hybrid_sensitivities(
-    case: GridCase,
+    case: GridCase | PowerFlowEngine,
     sol: PowerFlowSolution,
     params: StochasticParameterSet,
     spec: MetricSpec,
@@ -225,20 +219,21 @@ def hybrid_sensitivities(
     fd_step: float = 1e-6,
     sobol_n_base: int = 256,
     seed: int = 0,
-    ybus: AdmittanceMatrix | None = None,
 ) -> SensitivityMatrix:
     """Adjoint rows by default, statistical re-estimation where they misbehave.
 
     Each adjoint row is probed against central finite differences on a
     small parameter subset; rows whose relative disagreement exceeds the
     threshold are flagged highly nonlinear, re-estimated from a Saltelli
-    sample as signed index-rescaled slopes, and tagged accordingly.
+    sample as signed index-rescaled slopes, and tagged accordingly. One
+    engine serves the adjoint, the probe and the Saltelli solves; ``case``
+    may be an engine already built for the case.
     """
-    ybus = ybus if ybus is not None else build_admittance(case)
-    adj = adjoint_sensitivities(case, sol, params, spec, ybus=ybus)
+    engine = engine_for(case)
+    adj = adjoint_sensitivities(engine, sol, params, spec)
     cols = _probe_columns(len(params))
     probe = finite_difference_sensitivities(
-        case, sol, params, spec, step=fd_step, ybus=ybus, columns=cols
+        engine, sol, params, spec, step=fd_step, columns=cols
     )
 
     diff = np.abs(adj.values[:, cols] - probe.values[:, cols]).max(axis=1)
@@ -255,7 +250,7 @@ def hybrid_sensitivities(
         nonlinearity_threshold,
     )
     sub_spec = MetricSpec(tuple(spec.entries[i] for i in flagged))
-    model = _powerflow_evaluator(case, params, sub_spec, sol, ybus)
+    model = _powerflow_evaluator(engine, params, sub_spec, sol)
     slopes = sobol_rescaled_slopes(model, params, n_base=sobol_n_base, seed=seed)
 
     values = adj.values.copy()

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .exceptions import ModelEvaluationError, RmssError
 from .parameters import StochasticParameterSet
@@ -41,6 +40,8 @@ def _normal_marginals(params: StochasticParameterSet):
 
 
 def _draw_bases(d: int, n_base: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.stats import qmc  # imported here: scipy.stats dominates `import rmss`
+
     engine = qmc.Sobol(d=2 * d, scramble=True, seed=seed)
     if n_base & (n_base - 1) == 0:
         u = engine.random_base2(int(np.log2(n_base)))

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .exceptions import (
     DegenerateDirection,
@@ -29,9 +29,12 @@ from .exceptions import (
 )
 from .model import GridCase
 from .parameters import StochasticParameterSet
-from .powerflow import (
+# build_admittance is unused here but stays importable: perfbench/layers.py
+# traces it under this module.
+from .powerflow import (  # noqa: F401
     MetricSpec,
     NewtonOptions,
+    PowerFlowEngine,
     build_admittance,
     default_metric_spec,
     evaluate_metrics,
@@ -54,7 +57,7 @@ SIDES = ("UB", "LB")  # order of the last axis of every bound array
 def _quantile(rho: float) -> float:
     if not 0.0 < rho < 1.0:
         raise InvalidProbability(f"confidence level must be in (0, 1), got {rho}")
-    return float(norm.ppf(rho))
+    return float(ndtri(rho))
 
 
 def _bounds(c_nom, sigma_c, z: float) -> np.ndarray:
@@ -443,10 +446,8 @@ def run_rmss(
     t0 = time.perf_counter()
     z = _quantile(rho)
 
-    ybus = build_admittance(case)
-    sol = solve_power_flow(
-        case, options, injections=params.apply(case, params.means), ybus=ybus
-    )
+    engine = PowerFlowEngine(case)
+    sol = solve_power_flow(engine, options, injections=params.apply(case, params.means))
     if not sol.converged:
         raise NonConvergence(
             "nominal power flow did not converge "
@@ -457,9 +458,7 @@ def run_rmss(
     buses = spec.buses
     c_nom = evaluate_metrics(sol, spec)
 
-    sens = hybrid_sensitivities(
-        case, sol, params, spec, nonlinearity_threshold, seed=seed, ybus=ybus
-    )
+    sens = hybrid_sensitivities(engine, sol, params, spec, nonlinearity_threshold, seed=seed)
     variance, degenerate, directions = _linearization(params.sigma, sens.values)
     if degenerate.any():
         logger.warning(

@@ -1,11 +1,16 @@
 """Command-line surface: exit codes, report files, manifests, determinism."""
 
 import json
+import os
+import stat
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from rmss.cli import main
+from rmss.montecarlo import BLOCK_SIZE
 
 OVERLOADED = """\
 function mpc = overload
@@ -154,6 +159,24 @@ def test_mc_same_seed_byte_identical_statistics(runner, tmp_path):
     assert stats_a == stats_b
 
 
+def test_mc_workers_split_whole_blocks_byte_identically(runner, tmp_path):
+    # a partial last block, and more workers than there are blocks
+    n = BLOCK_SIZE + 7
+    base = ["mc", "--case", "case14_stoch", "--essential", "all-solar",
+            "--samples", str(n), "--seed", "11"]
+    dirs = {w: tmp_path / f"w{w}" for w in (1, 3)}
+    for workers, out in dirs.items():
+        result = runner.invoke(main, base + ["--workers", str(workers), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+
+    def blocks(path):
+        report = json.loads((path / "mc_report.json").read_text())
+        return json.dumps(report["statistics"]), json.dumps(report["diagnostics"])
+
+    assert blocks(dirs[1]) == blocks(dirs[3])
+    assert json.loads(blocks(dirs[1])[0])["n_samples"] == n
+
+
 def test_compare_pipeline(runner, tmp_path):
     rmss_args = ["run", "--case", "case2", "--essential", "all",
                  "--sigma-c", "auto", "--out", str(tmp_path)]
@@ -207,6 +230,27 @@ def test_no_temp_files_left_behind(runner, tmp_path):
                          "--sigma-c", "auto", "--out", str(tmp_path)])
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_reports_are_readable_under_the_umask(runner, tmp_path):
+    previous = os.umask(0o022)
+    try:
+        result = runner.invoke(main, ["run", "--case", "case2", "--essential", "all",
+                                      "--sigma-c", "auto", "--out", str(tmp_path)])
+    finally:
+        os.umask(previous)
+    assert result.exit_code == 0, result.output
+    for name in ("rmss_report.json", "violations.csv", "run_manifest.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of a cold start; only the Sobol fallback needs it
+    code = "import sys, rmss; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("report", [{"case": "x"}, {"schema": 1, "case": "x"}, ["x"]])

@@ -1,10 +1,14 @@
 """Essential tagging and case validation."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from rmss import tag_essential, validate_case
+from rmss import sample_parameters, tag_essential, validate_case
 from rmss.exceptions import EmptySelection
 from rmss.model import Branch, Bus, BusKind, Generator, GridCase, Load
+from rmss.parameters import Axis, StochasticParameterSet
 
 
 def test_all_solar_flags_exactly_the_solar_units(case14):
@@ -158,3 +162,36 @@ def test_injections_merge_components_per_bus(case14):
     # bus 6 hosts both a 30 MW load and the 18 MW wind unit
     assert p[idx[6]] == pytest.approx(-0.30 + 0.18)
     assert q[idx[6]] == pytest.approx(-0.06)
+
+
+def _apply_one_entry_at_a_time(params, case, row):
+    """The per-entry loop the vectorized parameter map must reproduce bit for bit."""
+    p, q = case.injections()
+    idx = case.bus_index()
+    for entry, value in zip(params.entries, row):
+        bus = idx[case.component(entry.component).bus]
+        target = p if entry.axis is Axis.P else q
+        target[bus] += value - entry.mean
+    return p, q
+
+
+def test_parameter_map_matches_per_entry_loop(case14):
+    # "all" puts a load and the wind unit on bus 6, so two entries share a bus
+    case = tag_essential(case14, "all")
+    params = StochasticParameterSet.from_case(case, sigma_frac=0.05, axes=(Axis.P, Axis.Q))
+    rows = sample_parameters(params, 20, seed=4).values
+    p, q = params.injections(case, rows)
+    for k, row in enumerate(rows):
+        ref_p, ref_q = _apply_one_entry_at_a_time(params, case, row)
+        assert np.array_equal(p[k], ref_p) and np.array_equal(q[k], ref_q)
+        one_p, one_q = params.apply(case, row)
+        assert np.array_equal(one_p, ref_p) and np.array_equal(one_q, ref_q)
+
+
+def test_parameter_map_unknown_component_raises_like_lookup(case14):
+    params = StochasticParameterSet.from_case(tag_essential(case14, "all-solar"))
+    ghost = replace(case14, generators=tuple(g for g in case14.generators if g.id != "g5"))
+    with pytest.raises(KeyError, match="g5"):
+        ghost.component("g5")
+    with pytest.raises(KeyError, match="g5"):
+        params.bus_map(ghost)

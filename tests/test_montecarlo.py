@@ -217,3 +217,30 @@ class TestMaeCompare:
         assert len(comp.per_point) == len(rmss.points)
         best = min(a + b for _, a, b in comp.per_point)
         assert comp.mae_c_ub + comp.mae_c_lb == pytest.approx(best)
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failed_indices_are_the_nan_rows(self, workers):
+        case = tag_essential(two_bus(p_load=4.9), ["l1"])
+        params = StochasticParameterSet.from_case(case, sigma_abs=0.08)
+        mc = run_monte_carlo(case, params, MetricSpec.voltages_at([2]), n=200, seed=21,
+                             workers=workers, keep_samples=True)
+        nan_rows = np.flatnonzero(np.isnan(mc.metric_samples).any(axis=1))
+        assert 0 < len(nan_rows) < 200
+        assert mc.failed_indices.tolist() == nan_rows.tolist()
+        assert mc.n_failed == len(nan_rows)
+        assert sum(mc.newton_iterations.values()) == 200
+
+    def test_diagnostics_kept_out_of_statistics_and_optional_on_load(self, two_bus_stochastic):
+        case, params = two_bus_stochastic
+        mc = run_monte_carlo(case, params, MetricSpec.voltages_at([2]), n=30, seed=2)
+        data = mc.to_dict()
+        assert "diagnostics" not in data["statistics"]
+        again = McReport.from_dict(data)
+        assert again.newton_iterations == mc.newton_iterations
+        assert again.failed_indices.tolist() == mc.failed_indices.tolist() == []
+        del data["diagnostics"]
+        older = McReport.from_dict(data)
+        assert older.statistics_dict() == mc.statistics_dict()
+        assert older.newton_iterations == {} and older.failed_indices.tolist() == []

@@ -8,10 +8,14 @@ import pytest
 from rmss import (
     MetricSpec,
     NewtonOptions,
+    PowerFlowEngine,
+    StochasticParameterSet,
     build_admittance,
     default_metric_spec,
     evaluate_metrics,
+    sample_parameters,
     solve_power_flow,
+    tag_essential,
 )
 from rmss.exceptions import JacobianSingular, NotConverged, SingularityWarning, UnknownBus
 from rmss.model import Branch, Bus, BusKind, GridCase, Load
@@ -226,3 +230,51 @@ class TestMetrics:
         spec = default_metric_spec(case14)
         assert spec.buses == (4, 5, 6, 7, 9, 10, 11, 12, 13, 14)
         assert all(v >= 0 for v in evaluate_metrics(solve_power_flow(case14), spec))
+
+
+def _stochastic(case, selector):
+    tagged = tag_essential(case, selector)
+    return tagged, StochasticParameterSet.from_case(tagged, sigma_frac=0.02)
+
+
+class TestEngine:
+    @pytest.mark.parametrize("fixture, selector", [("case14", "all-solar"), ("case118", "all")])
+    def test_sample_state_independent_of_its_block(self, fixture, selector, request):
+        case, params = _stochastic(request.getfixturevalue(fixture), selector)
+        engine = PowerFlowEngine(case)
+        nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
+        p, q = params.injections(case, sample_parameters(params, 9, seed=5).values)
+
+        def solved(rows):
+            return engine.solve(p[rows], q[rows], start=nominal)
+
+        others = list(range(1, 9))
+        alone = solved([0])
+        assert alone.converged[0]
+        for got, k in [(solved([0] + others), 0), (solved(others + [0]), 8)]:
+            assert np.array_equal(got.v[k], alone.v[0])
+            assert np.array_equal(got.q_pv[k], alone.q_pv[0])
+            assert got.iterations[k] == alone.iterations[0]
+            assert got.solution(k).mismatch_history == alone.solution(0).mismatch_history
+
+    def test_block_rows_balance_power_and_fail_like_scalar_solves(self, case118):
+        case, params = _stochastic(case118, "all")
+        engine = PowerFlowEngine(case)
+        nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
+        values = sample_parameters(params, 300, seed=7).values
+        p, q = params.injections(case, values)
+        block = engine.solve(p, q, start=nominal)
+
+        ok = block.converged
+        s_calc = block.v[ok] * np.conj((engine.y @ block.v[ok].T).T)
+        tol = NewtonOptions().tolerance
+        assert np.abs(s_calc.real - p[ok])[:, engine.nonslack].max() <= tol
+        assert np.abs(s_calc.imag - q[ok])[:, engine.pq].max() <= tol
+
+        scalar = [
+            solve_power_flow(case, injections=params.apply(case, row), start=nominal)
+            for row in values
+        ]
+        scalar_failed = [i for i, sol in enumerate(scalar) if not sol.converged]
+        assert scalar_failed  # the seed reaches the failure path
+        assert np.flatnonzero(~ok).tolist() == scalar_failed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rmss import MetricSpec, default_metric_spec, solve_power_flow, tag_essential
-from rmss.exceptions import NotConverged, TopologyError, ZeroStep
+from rmss.exceptions import NonConvergence, NotConverged, TopologyError, ZeroStep
 from rmss.parameters import Axis, StochasticParameterSet
 from rmss.sensitivity import (
     METHOD_ADJOINT,
@@ -136,8 +136,8 @@ def test_hybrid_reestimates_rows_that_disagree(case14_solar, case14_solution, mo
 
     real_fd = sens_mod.finite_difference_sensitivities
 
-    def distorted_fd(case, sol, params, spec, step=1e-6, ybus=None, columns=None):
-        out = real_fd(case, sol, params, spec, step=step, ybus=ybus, columns=columns)
+    def distorted_fd(case, sol, params, spec, step=1e-6, columns=None):
+        out = real_fd(case, sol, params, spec, step=step, columns=columns)
         out.values[0] *= 1.10  # 10% disagreement on the first metric row
         return out
 
@@ -171,3 +171,13 @@ def test_sensitivity_csv_dump(tmp_path, case14_solar, case14_solution):
     first = lines[1].split(",")
     assert int(first[0]) == spec.buses[0]
     assert float(first[2]) == sens.values[0, 0]
+
+
+def test_fd_divergence_names_parameter_and_step_sign():
+    # the -step probe pushes the 4.9 pu load past the 5 pu transfer limit
+    case = tag_essential(two_bus(p_load=4.9), ["l1"])
+    params = StochasticParameterSet.from_case(case, sigma_abs=0.01)
+    sol = solve_power_flow(case)
+    with pytest.raises(NonConvergence, match=r"l1\.P -0\.2") as err:
+        finite_difference_sensitivities(case, sol, params, MetricSpec.voltages_at([2]), step=0.2)
+    assert not err.value.solution.converged
