@@ -310,6 +310,8 @@ def cmd_mc(case, essential, axes, sigma_p, correlation, metrics, seed, samples, 
             raise ConfigError(f"--samples must be positive, got {samples}")
         config = _manifest_config(seed)
         out_dir = _out_dir(out)
+        if sample_csv is not None:
+            _out_dir(Path(sample_csv).parent)
         grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
         report = run_monte_carlo(
             grid, params, spec, n=samples, seed=config["seed"], workers=workers,

@@ -215,8 +215,10 @@ def write_case(case: GridCase, path: str | Path) -> None:
     """Serialize a case back to MATPOWER ``.m`` form.
 
     Demand is folded back into the bus table (one row per bus), so a case
-    holding several loads on one bus comes back as a single merged load.
-    Runtime essential flags are not part of the format and do not survive.
+    holding several loads on one bus comes back as a single merged load,
+    and a load with p = q = 0 does not come back: its bus row reads as no
+    load. Runtime essential flags are not part of the format and do not
+    survive.
     """
     path = Path(path)
     idx = case.bus_index()

@@ -143,14 +143,16 @@ class McReport:
 
     def samples_to_csv(self, path) -> None:
         """Per-sample metric values for external analysis (NaN = failed solve)."""
+        # Imported here: reportio's tempfile import would slow `import rmss`.
+        from .reportio import atomic_write_text
+
         if self.metric_samples is None:
             raise ValueError("run with keep_samples=True to retain per-sample metrics")
         header = "sample," + ",".join(f"bus{b}" for b in self.metric_buses)
         lines = [header]
         for i, row in enumerate(self.metric_samples):
             lines.append(f"{i}," + ",".join(repr(float(v)) for v in row))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        atomic_write_text(path, "\n".join(lines) + "\n")
 
     def statistics_dict(self) -> dict:
         """The deterministic part of the report: identical for a fixed seed."""

@@ -60,13 +60,15 @@ class SensitivityMatrix:
     adjoint_solves: int = 0
 
     def to_csv(self, path) -> None:
+        # Imported here: reportio imports worstcase, which imports this module.
+        from .reportio import atomic_write_text
+
         header = "metric_bus,method," + ",".join(self.parameter_labels)
         lines = [header]
         for i, bus in enumerate(self.metric_buses):
             row = ",".join(repr(float(v)) for v in self.values[i])
             lines.append(f"{bus},{self.methods[i]},{row}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _require_pq_parameters(case: GridCase, params: StochasticParameterSet) -> np.ndarray:

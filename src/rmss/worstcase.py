@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -156,7 +156,14 @@ class ViolationRecord:
     margin: float  # overshoot beyond the limit, pu
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "sigma": self.sigma,
+            "bus": self.bus,
+            "side": self.side,
+            "value": self.value,
+            "limit": self.limit,
+            "margin": self.margin,
+        }
 
 
 @dataclass(eq=False)

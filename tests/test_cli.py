@@ -140,6 +140,58 @@ def test_mc_sample_csv_dump(runner, tmp_path):
     assert all(0.9 < v < 1.1 for v in values)
 
 
+def test_mc_sample_csv_creates_its_directory(runner, tmp_path):
+    csv_path = tmp_path / "new" / "deeper" / "samples.csv"
+    result = runner.invoke(main, [
+        "mc", "--case", "case2", "--essential", "all", "--samples", "25",
+        "--seed", "1", "--sample-csv", str(csv_path), "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert len(csv_path.read_text().splitlines()) == 26
+    assert (tmp_path / "out" / "mc_report.json").is_file()
+
+
+def test_mc_uncreatable_sample_csv_directory_exits_3_before_solving(
+    runner, tmp_path, monkeypatch
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the CSV directory was checked")
+
+    monkeypatch.setattr("rmss.cli.run_monte_carlo", no_solve)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = runner.invoke(main, [
+        "mc", "--case", "case2", "--essential", "all", "--samples", "25",
+        "--sample-csv", str(blocker / "sub" / "samples.csv"), "--out", str(tmp_path),
+    ])
+    assert result.exit_code == 3, result.output
+    assert "cannot create output directory" in result.output
+
+
+@pytest.mark.parametrize("args, name", [
+    (["mc", "--case", "case2", "--essential", "all", "--samples", "25",
+      "--sample-csv", "{dir}/samples.csv", "--out", "{dir}"], "samples.csv"),
+    (["sensitivity", "--case", "case2", "--essential", "all", "--out", "{dir}/lambda.csv"],
+     "lambda.csv"),
+])
+def test_csv_dumps_are_written_atomically(runner, tmp_path, monkeypatch, args, name):
+    # A write that fails before the rename leaves the previous file whole.
+    target = tmp_path / name
+    target.write_text("previous\n")
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    result = runner.invoke(main, [a.format(dir=tmp_path) for a in args])
+    assert str(result.exception) == "disk full"
+    assert target.read_text() == "previous\n"
+    assert [p for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
+
 def test_mc_zero_samples_exit_3(runner, tmp_path):
     result = runner.invoke(main, [
         "mc", "--case", "case2", "--essential", "all", "--samples", "0",

@@ -1,9 +1,10 @@
 """Case-file ingest/export: parsing, schema enforcement, round trips."""
 
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmss import cases, parse_case, write_case
@@ -150,29 +151,44 @@ def test_bundled_cases_round_trip(name, tmp_path):
     assert case_fields_equal(case, parse_case(out))
 
 
-@st.composite
-def small_cases(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
-    mw = st.floats(0.0, 400.0, allow_nan=False, width=64)
+def chain_case(demands_mw, branch_params):
+    """A slack bus and a chain of PQ buses, one per (Pd, Qd) demand in MW.
+
+    A demand that is zero in per unit gets no load: write_case cannot
+    represent such a load (see test_zero_load_is_not_written).
+    """
     buses = [Bus(id=1, kind=BusKind.SLACK, v_setpoint=1.02, angle_setpoint=0.0,
                  v_max=1.1, v_min=0.9)]
     loads = []
-    for i in range(2, n + 1):
+    for i, (pd, qd) in enumerate(demands_mw, start=2):
         buses.append(Bus(id=i, kind=BusKind.PQ, v_max=1.1, v_min=0.9))
-        pd, qd = draw(mw), draw(mw)
-        if pd or qd:
-            loads.append(Load(id=f"l{len(loads) + 1}", bus=i, p=-pd / 100.0, q=-qd / 100.0))
-    imp = st.floats(0.001, 1.0, allow_nan=False, width=64)
+        p, q = -pd / 100.0, -qd / 100.0
+        if p or q:
+            loads.append(Load(id=f"l{len(loads) + 1}", bus=i, p=p, q=q))
     branches = [
-        Branch(from_bus=i, to_bus=i + 1, r=draw(imp), x=draw(imp),
-               b_shunt=draw(st.floats(0.0, 0.2, allow_nan=False)),
-               tap=draw(st.sampled_from([1.0, 0.98, 1.05])))
-        for i in range(1, n)
+        Branch(from_bus=i, to_bus=i + 1, r=r, x=x, b_shunt=b, tap=tap)
+        for i, (r, x, b, tap) in enumerate(branch_params, start=1)
     ]
     return GridCase(base_mva=100.0, buses=tuple(buses), branches=tuple(branches),
                     generators=(), loads=tuple(loads), name="prop")
 
 
+@st.composite
+def small_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    mw = st.floats(0.0, 400.0, allow_nan=False, width=64)
+    demands = [(draw(mw), draw(mw)) for _ in range(n - 1)]
+    imp = st.floats(0.001, 1.0, allow_nan=False, width=64)
+    branch_params = [
+        (draw(imp), draw(imp), draw(st.floats(0.0, 0.2, allow_nan=False)),
+         draw(st.sampled_from([1.0, 0.98, 1.05])))
+        for _ in range(n - 1)
+    ]
+    return chain_case(demands, branch_params)
+
+
+# A subnormal MW draw is a nonzero demand but a zero per-unit load.
+@example(case=chain_case([(5e-324, 5e-324)], [(0.01, 0.1, 0.0, 1.0)]))
 @settings(max_examples=40, deadline=None)
 @given(small_cases())
 def test_round_trip_property(tmp_path_factory, case):
@@ -180,6 +196,16 @@ def test_round_trip_property(tmp_path_factory, case):
     write_case(case, out)
     again = parse_case(out)
     assert case_fields_equal(case, again)
+
+
+def test_zero_load_is_not_written(tmp_path):
+    # 5e-324 MW is -0.0 pu; the bus row holds Pd = Qd = 0, which reads as no load
+    zero = Load(id="l1", bus=2, p=-5e-324 / 100.0, q=-5e-324 / 100.0)
+    assert zero.p == 0.0 and zero.q == 0.0
+    case = replace(chain_case([(0.0, 0.0)], [(0.01, 0.1, 0.0, 1.0)]), loads=(zero,))
+    out = tmp_path / "case.m"
+    write_case(case, out)
+    assert parse_case(out).loads == ()
 
 
 def test_bundled_case_accessor_unknown():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from rmss import (
     MetricSpec,
@@ -173,8 +174,18 @@ class TestSolver:
             loads=(Load("l1", 2, -0.5, 0.0),),
         )
         with pytest.warns(SingularityWarning):
-            with pytest.raises(JacobianSingular, match="bus 3"):
-                solve_power_flow(case)
+            engine = PowerFlowEngine(case)
+        with pytest.raises(JacobianSingular, match="bus 3"):
+            solve_power_flow(engine)
+        # A block raises the same error, whether its first row is singular
+        # or a regular first row (a load at bus 3 couples it) has fixed the
+        # column order and the error comes from a stack.
+        p, q = engine.case_injections
+        loaded = p.copy()
+        loaded[2] = -0.1
+        for rows in (np.array([p, p, p]), np.array([loaded, p, p])):
+            with pytest.raises(JacobianSingular, match="no equations couple bus 3"):
+                engine.solve(rows, np.zeros_like(rows))
 
     def test_isolated_loaded_bus_cannot_converge(self):
         # the load has nowhere to draw from; the solver must report failure
@@ -278,3 +289,53 @@ class TestEngine:
         scalar_failed = [i for i, sol in enumerate(scalar) if not sol.converged]
         assert scalar_failed  # the seed reaches the failure path
         assert np.flatnonzero(~ok).tolist() == scalar_failed
+
+    @pytest.mark.parametrize(
+        "fixture, selector, n, seed, warm",
+        [("case118", "all", 300, 7, True), ("case14", "all-solar", 150, 11, False)],
+    )
+    def test_stacked_steps_match_per_row_factorization(
+        self, fixture, selector, n, seed, warm, request
+    ):
+        case, params = _stochastic(request.getfixturevalue(fixture), selector)
+        engine = PowerFlowEngine(case)
+        nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
+        p, q = params.injections(case, sample_parameters(params, n, seed=seed).values)
+        start = nominal if warm else None
+
+        # The reference: one splu of each row's own Jacobian, row by row.
+        reference = PowerFlowEngine(case)
+
+        def per_row_steps(data, rhs):
+            jac = reference._jacobian(reference._template.copy())
+            step = np.empty_like(rhs)
+            for r in range(len(rhs)):
+                jac.data = data[r]
+                step[r] = splu(jac).solve(rhs[r])
+            return step
+
+        reference._steps = per_row_steps
+        got, want = engine.solve(p, q, start), reference.solve(p, q, start)
+
+        assert n > engine._rows_per_stack  # more than one stack
+        # case118 'all' reaches the failure path; case14 has PV rows
+        assert len(engine.pv) if fixture == "case14" else not want.converged.all()
+        assert np.array_equal(got.converged, want.converged)
+        assert np.array_equal(got.iterations, want.iterations)
+        assert np.array_equal(got.v, want.v, equal_nan=True)
+        assert np.array_equal(got.q_pv, want.q_pv, equal_nan=True)
+        assert np.array_equal(got.history, want.history, equal_nan=True)
+
+    def test_singular_row_in_a_stack_raises_like_its_own_solve(self):
+        # p = -B, q = 0 at bus 2 makes the flat-start Jacobian exactly
+        # singular; the first row is regular and fixes the column order.
+        case = two_bus(x=0.1)
+        engine = PowerFlowEngine(case)
+        b = engine.y[1, 1].imag
+        p = np.array([[0.0, -1.0], [0.0, -b], [0.0, -0.5]])
+        q = np.zeros_like(p)
+        with pytest.raises(JacobianSingular) as alone:
+            PowerFlowEngine(case).solve(p[1], q[1])
+        with pytest.raises(JacobianSingular) as stacked:
+            engine.solve(p, q)
+        assert str(stacked.value) == str(alone.value)

@@ -1,5 +1,6 @@
 """Closed-form worst-case construction, sweeps, and violation counting."""
 
+import dataclasses
 import json
 import math
 
@@ -215,6 +216,14 @@ def count_by_loop(labels, buses, bounds, v_min, v_max):
 
 
 class TestCountViolations:
+    def test_record_dict_is_the_dataclass_fields(self, case14):
+        report = count_one_point(case14, [(4, 1.2, 0.8), (5, 1.01, 0.7)])
+        records = [r for p in report.points for r in p.records]
+        assert records
+        for record in records:
+            assert record.to_dict() == dataclasses.asdict(record)
+            assert list(record.to_dict()) == [f.name for f in dataclasses.fields(record)]
+
     def test_all_inside_limits(self, case14):
         report = count_one_point(case14, [(4, 1.01, 0.99)])
         assert report.points[0].ub_total == 0
