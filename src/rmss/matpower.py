@@ -3,8 +3,9 @@
 Only the columns this package consumes are interpreted; anything else in
 the file is ignored. Out-of-service branches and generators are dropped
 at parse time. Loads become negative injections, one per bus carrying
-demand. Generator fuel tags come from the optional ``mpc.genfuel`` cell
-array.
+demand. Bus shunts (``Gs``, ``Bs``, MW and MVAr at 1 pu voltage) become
+per-unit admittances. Generator fuel tags come from the optional
+``mpc.genfuel`` cell array.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from .exceptions import ParseError, SchemaError, TopologyError
 from .model import Branch, Bus, BusKind, Generator, GridCase, Load
 
 # 0-based indices of the columns we read.
-_BUS_COLS = {"id": 0, "type": 1, "Pd": 2, "Qd": 3, "Vm": 7, "Va": 8, "Vmax": 11, "Vmin": 12}
+_BUS_COLS = {
+    "id": 0, "type": 1, "Pd": 2, "Qd": 3, "Gs": 4, "Bs": 5, "Vm": 7, "Va": 8, "Vmax": 11,
+    "Vmin": 12,
+}
 _GEN_COLS = {"bus": 0, "Pg": 1, "Qg": 2, "status": 7}
 _BRANCH_COLS = {
     "fbus": 0, "tbus": 1, "r": 2, "x": 3, "b": 4, "ratio": 8, "angle": 9, "status": 10,
@@ -148,6 +152,8 @@ def parse_case(path: str | Path, format: str = "matpower-m") -> GridCase:
                 angle_setpoint=va if kind is BusKind.SLACK else None,
                 v_max=row[_BUS_COLS["Vmax"]],
                 v_min=row[_BUS_COLS["Vmin"]],
+                gs=row[_BUS_COLS["Gs"]] / base_mva,
+                bs=row[_BUS_COLS["Bs"]] / base_mva,
             )
         )
         pd, qd = row[_BUS_COLS["Pd"]], row[_BUS_COLS["Qd"]]
@@ -244,7 +250,8 @@ def write_case(case: GridCase, path: str | Path) -> None:
         vmax = b.v_max if b.v_max is not None else 1.1
         vmin = b.v_min if b.v_min is not None else 0.9
         lines.append(
-            f"  {b.id} {kind_code[b.kind]} {pd[i]!r} {qd[i]!r} 0 0 1 "
+            f"  {b.id} {kind_code[b.kind]} {pd[i]!r} {qd[i]!r} "
+            f"{b.gs * case.base_mva!r} {b.bs * case.base_mva!r} 1 "
             f"{vm!r} {va!r} 100 1 {vmax!r} {vmin!r};"
         )
     lines.append("];")

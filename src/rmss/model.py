@@ -31,6 +31,8 @@ class Bus:
     angle_setpoint: float | None = None  # rad, slack only
     v_max: float | None = None
     v_min: float | None = None
+    gs: float = 0.0  # shunt conductance, pu power drawn at 1 pu voltage
+    bs: float = 0.0  # shunt susceptance, pu reactive power injected at 1 pu voltage
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .exceptions import (
     AllSamplesFailed,
     DimensionMismatch,
     ExcessiveFailureRate,
+    JacobianSingular,
     NotPSD,
     SchemaError,
 )
@@ -81,6 +82,30 @@ class _Solved:
     block_sizes: list[int]
 
 
+def _solve_rows(
+    engine: PowerFlowEngine,
+    p: np.ndarray,
+    q: np.ndarray,
+    start: PowerFlowSolution,
+    options: NewtonOptions,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Converged flags, voltages and iterations of a block solved one row at a time.
+
+    A row whose Jacobian is singular fails, counted at 0 iterations; every
+    other row gets bitwise the result its block would have given it.
+    """
+    ok = np.zeros(len(p), dtype=bool)
+    v = np.full((len(p), engine.n), np.nan, dtype=complex)
+    iterations = np.zeros(len(p), dtype=int)
+    for r in range(len(p)):
+        try:
+            row = engine.solve(p[r : r + 1], q[r : r + 1], start=start, options=options)
+        except JacobianSingular:
+            continue
+        ok[r], v[r], iterations[r] = row.converged[0], row.v[0], row.iterations[0]
+    return ok, v, iterations
+
+
 def _solve_samples(
     engine: PowerFlowEngine,
     params: StochasticParameterSet,
@@ -89,7 +114,11 @@ def _solve_samples(
     start: PowerFlowSolution,
     options: NewtonOptions,
 ) -> _Solved:
-    """Solve consecutive samples block by block; injections and states exist per block only."""
+    """Solve consecutive samples block by block; injections and states exist per block only.
+
+    A block that raises :class:`JacobianSingular` is solved again row by
+    row, so only its singular rows fail.
+    """
     positions = metric_positions(engine.bus_ids, spec)
     out = _Solved(
         metrics=np.full((len(samples), len(spec)), np.nan),
@@ -102,11 +131,14 @@ def _solve_samples(
         t0 = time.perf_counter()
         block = slice(lo, lo + BLOCK_SIZE)
         p, q = params.injections(engine.case, samples[block])
-        result = engine.solve(p, q, start=start, options=options)
-        ok = result.converged
-        out.metrics[block][ok] = np.abs(result.v[ok][:, positions])
+        try:
+            result = engine.solve(p, q, start=start, options=options)
+            ok, v, iterations = result.converged, result.v, result.iterations
+        except JacobianSingular:
+            ok, v, iterations = _solve_rows(engine, p, q, start, options)
+        out.metrics[block][ok] = np.abs(v[ok][:, positions])
         out.converged[block] = ok
-        out.iterations[block] = result.iterations
+        out.iterations[block] = iterations
         out.block_seconds.append(time.perf_counter() - t0)
         out.block_sizes.append(len(ok))
     return out

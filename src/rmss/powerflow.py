@@ -41,10 +41,12 @@ class AdmittanceMatrix:
 
 
 def build_admittance(case: GridCase) -> AdmittanceMatrix:
-    """Stamp in-service branches into the bus admittance matrix.
+    """Stamp in-service branches and bus shunts into the bus admittance matrix.
 
     Each branch contributes the standard two-port pi-model with an
-    off-nominal complex turns ratio tap*exp(j*shift) on the from side.
+    off-nominal complex turns ratio tap*exp(j*shift) on the from side; a
+    bus shunt adds gs + j*bs to its diagonal entry. A bus that no branch
+    reaches is warned about, shunt or not.
     """
     idx = case.bus_index()
     n = len(case.buses)
@@ -66,12 +68,18 @@ def build_admittance(case: GridCase) -> AdmittanceMatrix:
             -y / ratio,
             y + bc,
         ]
+    touched = np.zeros(n, dtype=bool)
+    touched[rows] = True
+    # Only nonzero shunts are stamped: adding 0 could turn a -0.0 entry into +0.0.
+    for i, bus in enumerate(case.buses):
+        if bus.gs or bus.bs:
+            rows.append(i)
+            cols.append(i)
+            vals.append(complex(bus.gs, bus.bs))
     y_bus = sparse.coo_matrix(
         (np.array(vals, dtype=complex), (rows, cols)), shape=(n, n)
     ).tocsr()
 
-    touched = np.zeros(n, dtype=bool)
-    touched[rows] = True
     for i in np.flatnonzero(~touched):
         warnings.warn(
             f"bus {case.buses[i].id} has no incident admittance",

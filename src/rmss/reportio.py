@@ -33,7 +33,12 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_json(path: str | Path, obj: dict) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    """Compact JSON on one line; ``python -m json.tool`` prints it indented.
+
+    Without ``indent`` the json module encodes in C, about twice as fast as
+    its pure-Python indenting encoder on a case118 sweep report.
+    """
+    atomic_write_text(path, json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 def write_manifest(path: str | Path, command: str, config: dict, seed: int) -> None:

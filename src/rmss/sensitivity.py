@@ -227,7 +227,10 @@ def hybrid_sensitivities(
     Each adjoint row is probed against central finite differences on a
     small parameter subset; rows whose relative disagreement exceeds the
     threshold are flagged highly nonlinear, re-estimated from a Saltelli
-    sample as signed index-rescaled slopes, and tagged accordingly. One
+    sample as signed index-rescaled slopes, and tagged accordingly. With
+    correlated parameters (nonzero off-diagonal covariance) that estimator
+    does not apply: flagged rows keep their adjoint values and a warning
+    names their buses. One
     engine serves the adjoint, the probe and the Saltelli solves; ``case``
     may be an engine already built for the case.
     """
@@ -245,12 +248,18 @@ def hybrid_sensitivities(
         return adj
 
     flagged = np.flatnonzero(nonlinear)
+    # The Sobol estimator assumes independent inputs.
+    correlated = np.count_nonzero(params.sigma - np.diag(np.diag(params.sigma))) > 0
     logger.warning(
-        "metrics at buses %s are highly nonlinear (adjoint/FD disagreement > %.3g); "
-        "re-estimating statistically",
+        "metrics at buses %s are highly nonlinear (adjoint/FD disagreement > %.3g); %s",
         [spec.buses[i] for i in flagged],
         nonlinearity_threshold,
+        "the parameters are correlated, so their adjoint rows are kept"
+        if correlated
+        else "re-estimating statistically",
     )
+    if correlated:
+        return adj
     sub_spec = MetricSpec(tuple(spec.entries[i] for i in flagged))
     model = _powerflow_evaluator(engine, params, sub_spec, sol)
     slopes = sobol_rescaled_slopes(model, params, n_base=sobol_n_base, seed=seed)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +45,7 @@ from .sensitivity import hybrid_sensitivities
 logger = logging.getLogger(__name__)
 
 DEGENERATE_TOLERANCE = 1e-14
-SCHEMA_VERSION = 2  # version of the RmssReport.to_dict layout
+SCHEMA_VERSION = 3  # version of the RmssReport.to_dict layout
 
 FRACTION = "fraction"  # sigma_c as a fraction of each metric's nominal value
 ABSOLUTE = "pu"  # sigma_c as an absolute pu value shared by all metrics
@@ -168,12 +168,28 @@ class ViolationRecord:
 
 @dataclass(eq=False)
 class PointViolations:
+    """Violation tallies at one sweep point; its records are derived on demand."""
+
     sigma_label: float | str
     ub_total: int
     lb_total: int
     per_bus: dict[int, int]
     worst_violator: int | None
-    records: tuple[ViolationRecord, ...]
+    metric_buses: tuple[int, ...] = field(repr=False)
+    bounds: np.ndarray = field(repr=False)  # (m, 2) [c_wc_ub, c_wc_lb] at this point
+    limit: np.ndarray = field(repr=False)  # (m, 2) [v_max, v_min], aligned with the bounds
+
+    @property
+    def records(self) -> tuple[ViolationRecord, ...]:
+        """One record per excursion: metrics in order, the UB excursion before the LB one."""
+        margins = _overshoot(self.bounds, self.limit)
+        return tuple(
+            ViolationRecord(
+                self.sigma_label, self.metric_buses[i], SIDES[s],
+                float(self.bounds[i, s]), float(self.limit[i, s]), float(margins[i, s]),
+            )
+            for i, s in zip(*np.nonzero(margins > 0))
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -182,7 +198,6 @@ class PointViolations:
             "lb_total": self.lb_total,
             "per_bus": {str(k): v for k, v in sorted(self.per_bus.items())},
             "worst_violator": self.worst_violator,
-            "records": [r.to_dict() for r in self.records],
         }
 
 
@@ -191,37 +206,30 @@ class ViolationReport:
     points: tuple[PointViolations, ...]
     per_bus_total: dict[int, int]
     worst_violator: int | None  # max tally across the sweep, ties to lowest bus id
+    v_min: np.ndarray  # (m,) per-metric voltage limits, pu
+    v_max: np.ndarray
 
     def to_dict(self) -> dict:
         return {
+            "v_min": self.v_min.tolist(),
+            "v_max": self.v_max.tolist(),
             "points": [p.to_dict() for p in self.points],
             "per_bus_total": {str(k): v for k, v in sorted(self.per_bus_total.items())},
             "worst_violator": self.worst_violator,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ViolationReport":
-        points = tuple(
-            PointViolations(
-                sigma_label=v["sigma"],
-                ub_total=v["ub_total"],
-                lb_total=v["lb_total"],
-                per_bus={int(k): t for k, t in v["per_bus"].items()},
-                worst_violator=v["worst_violator"],
-                records=tuple(ViolationRecord(**r) for r in v["records"]),
-            )
-            for v in data["points"]
-        )
-        per_bus_total = {int(k): t for k, t in data["per_bus_total"].items()}
-        return cls(points, per_bus_total, data["worst_violator"])
+
+def _overshoot(bounds: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Excursion of each [c_wc_ub, c_wc_lb] pair beyond its [v_max, v_min] limit, pu."""
+    return (bounds - limit) * np.array([1.0, -1.0])
 
 
-def _worst_bus(tallies: dict[int, int]) -> int | None:
-    nonzero = {b: t for b, t in tallies.items() if t > 0}
-    if not nonzero:
-        return None
-    best = max(nonzero.values())
-    return min(b for b, t in nonzero.items() if t == best)
+def _tallies(bus_ids: np.ndarray, counts: np.ndarray) -> tuple[dict[int, int], int | None]:
+    """Nonzero per-bus counts, and the bus with the most (ties to the lowest id) or None."""
+    per_bus = {b: t for b, t in zip(bus_ids.tolist(), counts.tolist()) if t}
+    if not per_bus:
+        return per_bus, None
+    return per_bus, int(bus_ids[np.argmax(counts)])  # ids ascend: argmax takes the lowest
 
 
 def limit_arrays(
@@ -261,37 +269,26 @@ def count_violations(
     """Tally bound excursions beyond per-metric voltage limits.
 
     ``bounds`` has shape (P, m, 2): one [c_wc_ub, c_wc_lb] row per metric at
-    each of the P sweep points named by ``labels``. Records list each point's
-    metrics in order, the UB excursion before the LB one.
+    each of the P sweep points named by ``labels``. Each point's records
+    list its metrics in order, the UB excursion before the LB one.
     """
+    buses = tuple(buses)
     limit = np.stack([v_max, v_min], axis=-1)  # (m, 2), aligned with the bound sides
-    margins = (bounds - limit) * np.array([1.0, -1.0])  # overshoot beyond each limit, pu
-    hits = margins > 0
+    hits = _overshoot(bounds, limit) > 0
+    bus_ids, bus_of = np.unique(np.asarray(buses, dtype=int), return_inverse=True)
+    point_of, metric_of, _ = np.nonzero(hits)
+    n = len(bus_ids)
+    per_point = np.bincount(
+        point_of * n + bus_of[metric_of], minlength=len(labels) * n
+    ).reshape(len(labels), n)
+    side_totals = hits.sum(axis=1).tolist()  # (P, 2) UB and LB counts
 
-    points: list[PointViolations] = []
-    total_tally: dict[int, int] = {}
-    for k, label in enumerate(labels):
-        records = tuple(
-            ViolationRecord(
-                label, buses[i], SIDES[s],
-                float(bounds[k, i, s]), float(limit[i, s]), float(margins[k, i, s]),
-            )
-            for i, s in zip(*np.nonzero(hits[k]))
-        )
-        tally: dict[int, int] = {}
-        for r in records:
-            tally[r.bus] = tally.get(r.bus, 0) + 1
-            total_tally[r.bus] = total_tally.get(r.bus, 0) + 1
-        ub_total, lb_total = (int(n) for n in hits[k].sum(axis=0))
-        points.append(
-            PointViolations(label, ub_total, lb_total, tally, _worst_bus(tally), records)
-        )
-
-    return ViolationReport(
-        points=tuple(points),
-        per_bus_total=total_tally,
-        worst_violator=_worst_bus(total_tally),
+    points = tuple(
+        PointViolations(label, ub, lb, *_tallies(bus_ids, counts), buses, bounds[k], limit)
+        for k, (label, (ub, lb), counts) in enumerate(zip(labels, side_totals, per_point))
     )
+    totals = _tallies(bus_ids, per_point.sum(axis=0))
+    return ViolationReport(points, *totals, v_min=limit[:, 1], v_max=limit[:, 0])
 
 
 @dataclass(eq=False)
@@ -371,43 +368,57 @@ class RmssReport:
                 f"rmss report schema {schema!r} is not supported (expected {SCHEMA_VERSION})"
             )
         try:
-            params = data["parameters"]
+            params, stored = data["parameters"], data["violations"]
             d = len(params["labels"])
-            report = cls(
+            metric_buses = tuple(data["metric_buses"])
+            degenerate = np.array(data["degenerate"], dtype=bool)
+            directions = np.array(data["dispatch_directions"], dtype=float).reshape(-1, d)
+            points = tuple(
+                SweepPoint(
+                    p["label"],
+                    np.array(p["sigma_abs"], dtype=float),
+                    np.array(p["results"], dtype=float).reshape(-1, 2),
+                )
+                for p in data["points"]
+            )
+            v_min = np.array(stored["v_min"], dtype=float)
+            v_max = np.array(stored["v_max"], dtype=float)
+            m = len(metric_buses)
+            if (
+                degenerate.shape != (m,)
+                or len(directions) != m - degenerate.sum()
+                or any(p.results.shape != (m, 2) for p in points)
+                or v_min.shape != (m,)
+                or v_max.shape != (m,)
+            ):
+                raise SchemaError(f"rmss report arrays do not match its {m} metric buses")
+            # The records are not stored: they are derived from the bounds and
+            # the limits, which must also give the stored tallies.
+            bounds = np.array([p.results for p in points]).reshape(len(points), m, 2)
+            violations = count_violations(
+                [p.label for p in points], metric_buses, bounds, v_min, v_max
+            )
+            if violations.to_dict() != stored:
+                raise SchemaError("rmss report violation tallies disagree with its bounds")
+            return cls(
                 case_name=data["case"],
                 rho=data["rho"],
-                metric_buses=tuple(data["metric_buses"]),
+                metric_buses=metric_buses,
                 parameter_labels=tuple(params["labels"]),
                 parameter_means=np.array(params["means"], dtype=float),
                 parameter_stdevs=np.array(params["stdevs"], dtype=float),
                 c_nom=np.array(data["c_nom"], dtype=float),
-                degenerate=np.array(data["degenerate"], dtype=bool),
-                dispatch_directions=np.array(data["dispatch_directions"], dtype=float)
-                .reshape(-1, d),
+                degenerate=degenerate,
+                dispatch_directions=directions,
                 sigma_mode=data["sigma_mode"],
                 sigma_unit=data["sigma_unit"],
-                points=tuple(
-                    SweepPoint(
-                        p["label"],
-                        np.array(p["sigma_abs"], dtype=float),
-                        np.array(p["results"], dtype=float).reshape(-1, 2),
-                    )
-                    for p in data["points"]
-                ),
-                violations=ViolationReport.from_dict(data["violations"]),
+                points=points,
+                violations=violations,
                 sensitivity_methods=tuple(data["sensitivity_methods"]),
                 runtime_s=data["runtime_s"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed rmss report: {exc!r}") from exc
-        m = len(report.metric_buses)
-        if (
-            report.degenerate.shape != (m,)
-            or len(report.dispatch_directions) != m - report.degenerate.sum()
-            or any(p.results.shape != (m, 2) for p in report.points)
-        ):
-            raise SchemaError(f"rmss report arrays do not match its {m} metric buses")
-        return report
 
 
 def _resolve_sigma_points(

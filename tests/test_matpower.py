@@ -237,6 +237,15 @@ mpc.branch = [
     assert gen.q == -3.9 / 50
 
 
+def test_bus_shunts_parsed_per_unit_and_written_back(tmp_path):
+    text = MINIMAL.replace("2 1 100 0 0 0 1", "2 1 100 0 4.3 -17.9 1")
+    case = parse_case(write_tmp(tmp_path, text.replace("mpc.baseMVA = 100", "mpc.baseMVA = 50")))
+    assert (case.buses[1].gs, case.buses[1].bs) == (4.3 / 50, -17.9 / 50)
+    assert (case.buses[0].gs, case.buses[0].bs) == (0.0, 0.0)
+    out = tmp_path / "echo.m"
+    write_case(case, out)
+    assert case_fields_equal(case, parse_case(out))
+
 def test_slack_angle_parsed_in_radians(tmp_path):
     text = MINIMAL.replace("1 3 0   0 0 0 1 1.0 0 ", "1 3 0   0 0 0 1 1.0 30 ")
     case = parse_case(write_tmp(tmp_path, text))

@@ -17,8 +17,10 @@ from rmss.exceptions import (
     ExcessiveFailureRate,
     NotPSD,
 )
-from rmss.montecarlo import CI_MEAN, McReport
+from rmss import montecarlo
+from rmss.montecarlo import CI_MEAN, McReport, SampleBatch
 from rmss.parameters import Axis, ParameterEntry, StochasticParameterSet
+from rmss.powerflow import build_admittance
 
 from test_powerflow import two_bus
 
@@ -127,6 +129,28 @@ class TestRunMonteCarlo:
         mc = run_monte_carlo(case, params, MetricSpec.voltages_at([2]), n=200, seed=21)
         assert 0 < mc.n_failed < 200
         assert np.isfinite(mc.metric_mean).all()
+
+    def test_singular_jacobian_sample_counts_as_failed(self, monkeypatch):
+        # At the flat nominal start of an unloaded bus 2, an injection with
+        # |S2| = |Y22| |V2|^2 makes that sample's Jacobian exactly singular.
+        case = tag_essential(two_bus(p_load=0.0, x=0.1), ["l1"])
+        params = StochasticParameterSet.from_case(case, sigma_abs=0.05)
+        spec = MetricSpec.voltages_at([2])
+        singular = abs(build_admittance(case).y[1, 1])
+        regular = np.array([[-0.3], [0.2], [-0.1], [0.4], [-0.2]])
+
+        def run(values):
+            monkeypatch.setattr(montecarlo, "sample_parameters",
+                                lambda params, n, seed: SampleBatch(values, seed))
+            return run_monte_carlo(case, params, spec, n=len(values), seed=0)
+
+        mixed = run(np.insert(regular, 2, singular, axis=0))
+        alone = run(regular)
+        assert mixed.n_failed == 1
+        assert mixed.failed_indices.tolist() == [2]
+        assert alone.n_failed == 0
+        for stat in ("metric_mean", "metric_stdev", "metric_ci_lb", "metric_ci_ub"):
+            assert np.array_equal(getattr(mixed, stat), getattr(alone, stat))
 
     def test_runtime_accounting(self, two_bus_stochastic):
         case, params = two_bus_stochastic

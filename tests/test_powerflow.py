@@ -1,6 +1,7 @@
 """Admittance stamping, Newton solver behavior, and metric evaluation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,19 @@ class TestAdmittance:
         )
         with pytest.warns(SingularityWarning, match="bus 3"):
             build_admittance(case)
+
+    def test_bus_shunt_closed_form(self):
+        # With no load at bus 2, KCL gives V2 = V1 / (1 + j x (gs + j bs)).
+        gs, bs, x = 0.05, 0.19, 0.1
+        base = two_bus(p_load=0.0, x=x)
+        pq = replace(base.buses[1], gs=gs, bs=bs)
+        case = replace(base, buses=(base.buses[0], pq))
+        expected = build_admittance(base).y.toarray()
+        expected[1, 1] += complex(gs, bs)
+        assert np.array_equal(build_admittance(case).y.toarray(), expected)
+        sol = solve_power_flow(case)
+        assert sol.converged
+        assert abs(sol.v[1] - 1.0 / (1.0 + 1j * x * complex(gs, bs))) <= 1e-10
 
 
 class TestSolver:

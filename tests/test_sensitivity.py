@@ -159,6 +159,35 @@ def test_hybrid_reestimates_rows_that_disagree(case14_solar, case14_solution, mo
     assert np.abs(hyb.values[0] - true_rows[0]).max() < 0.15 * scale
 
 
+def test_hybrid_keeps_adjoint_rows_with_correlated_parameters(
+    case14_solar, case14_solution, monkeypatch, caplog
+):
+    corr = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    params = StochasticParameterSet.from_case(case14_solar, correlation=corr)
+    spec = default_metric_spec(case14_solar)
+    adj = adjoint_sensitivities(case14_solar, case14_solution, params, spec)
+
+    import rmss.sensitivity as sens_mod
+
+    real_fd = sens_mod.finite_difference_sensitivities
+
+    def distorted_fd(case, sol, params, spec, step=1e-6, columns=None):
+        out = real_fd(case, sol, params, spec, step=step, columns=columns)
+        out.values[0] *= 1.10  # 10% disagreement on the first metric row
+        return out
+
+    def no_sobol(*args, **kwargs):
+        raise AssertionError("the Sobol estimator assumes independent inputs")
+
+    monkeypatch.setattr(sens_mod, "finite_difference_sensitivities", distorted_fd)
+    monkeypatch.setattr(sens_mod, "sobol_rescaled_slopes", no_sobol)
+    with caplog.at_level("WARNING", logger="rmss.sensitivity"):
+        hyb = hybrid_sensitivities(case14_solar, case14_solution, params, spec)
+    assert hyb.methods == (METHOD_ADJOINT,) * len(spec)
+    assert np.array_equal(hyb.values, adj.values)
+    assert f"[{spec.buses[0]}]" in caplog.text
+    assert "correlated" in caplog.text
+
 def test_sensitivity_csv_dump(tmp_path, case14_solar, case14_solution):
     params = StochasticParameterSet.from_case(case14_solar)
     spec = default_metric_spec(case14_solar)

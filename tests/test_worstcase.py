@@ -22,6 +22,7 @@ from rmss import (
 )
 from rmss.exceptions import DegenerateDirection, InvalidProbability, MissingLimits, SchemaError
 from rmss.parameters import Axis, ParameterEntry, StochasticParameterSet
+from rmss.reportio import write_json
 from rmss.sensitivity import adjoint_sensitivities
 from rmss.worstcase import (
     FRACTION,
@@ -382,16 +383,44 @@ class TestRunRmss:
         params = StochasticParameterSet.from_case(case14_solar)
         report = run_rmss(case14_solar, params, limits=0.02)
         data = report.to_dict()
-        assert data["schema"] == 2
+        assert data["schema"] == 3
         assert set(data["points"][0]) == {"label", "sigma_abs", "results"}
         blob = json.dumps(data)
         again = RmssReport.from_dict(json.loads(blob))
         assert json.dumps(again.to_dict()) == blob
         assert np.array_equal(again.dispatches(3)[0], report.dispatches(3)[0])
 
+    def test_write_json_parses_back_equal(self, case14_solar, tmp_path):
+        params = StochasticParameterSet.from_case(case14_solar)
+        data = run_rmss(case14_solar, params, limits=0.02).to_dict()
+        data["edge_floats"] = [0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3]
+        write_json(tmp_path / "report.json", data)
+        again = json.loads((tmp_path / "report.json").read_text())
+        assert again == data
+        assert repr(again) == repr(data)  # floats bitwise, -0.0 included
+
+    def test_case118_sweep_records_rebuilt_from_json(self, case118, tmp_path):
+        case = tag_essential(case118, "all")
+        report = run_rmss(case, StochasticParameterSet.from_case(case), limits=0.02)
+        write_json(tmp_path / "report.json", report.to_dict())
+        text = (tmp_path / "report.json").read_text()
+        assert '"records"' not in text
+        again = RmssReport.from_dict(json.loads(text)).violations
+        want = report.violations
+        assert sum(len(p.records) for p in want.points) > 1000
+        for got, point in zip(again.points, want.points, strict=True):
+            assert repr([r.to_dict() for r in got.records]) == repr(
+                [r.to_dict() for r in point.records])
+            assert got.per_bus == point.per_bus
+        assert (again.per_bus_total, again.worst_violator) == (
+            want.per_bus_total, want.worst_violator)
+
     @pytest.mark.parametrize("edit", [
         lambda d: d.pop("schema"),
         lambda d: d.update(schema=1),
+        lambda d: d.update(schema=2),
+        lambda d: d["violations"].pop("v_max"),
+        lambda d: d["violations"].update(worst_violator=-1),
         lambda d: d.pop("dispatch_directions"),
         lambda d: d["points"][0].pop("results"),
         lambda d: d["points"][0].update(results=[[1.0, 0.9]]),
