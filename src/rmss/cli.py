@@ -8,7 +8,6 @@ manifest echoing the resolved configuration, versions, and seed.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -77,10 +76,8 @@ _CONFIG_ERRORS = (
 
 
 def _manifest_config(seed: int | None) -> dict:
-    """The invoking command's options and the log level, with the seed resolved."""
-    ctx = click.get_current_context()
-    return {**ctx.params, "log_level": ctx.find_root().params["log_level"],
-            "seed": _resolve_seed(seed)}
+    """The invoking command's options, echoed into its manifest, with the seed resolved."""
+    return {**click.get_current_context().params, "seed": _resolve_seed(seed)}
 
 
 def _guarded(body):
@@ -255,14 +252,8 @@ def _input_options(command):
 
 
 @click.group()
-@click.option("--log-level", default="warning", show_default=True,
-              type=click.Choice(["debug", "info", "warning", "error"]),
-              help="Verbosity of the rmss log messages on stderr.")
-def main(log_level):
+def main():
     """Risk-managed steady-state analysis of power grids."""
-    # basicConfig leaves a host application's own root handlers in place.
-    logging.basicConfig()
-    logging.getLogger("rmss").setLevel(log_level.upper())
 
 
 @main.command("run")

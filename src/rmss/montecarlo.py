@@ -77,7 +77,7 @@ class _Solved:
 
     metrics: np.ndarray  # (k, m), NaN rows for failed samples
     converged: np.ndarray  # (k,) bool
-    iterations: np.ndarray  # (k,) Newton iterations per sample
+    iterations: np.ndarray  # (k,) Newton iterations per sample, -1 for a singular Jacobian
     block_seconds: list[float]  # wall time of each block
     block_sizes: list[int]
 
@@ -91,12 +91,12 @@ def _solve_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Converged flags, voltages and iterations of a block solved one row at a time.
 
-    A row whose Jacobian is singular fails, counted at 0 iterations; every
-    other row gets bitwise the result its block would have given it.
+    A row whose Jacobian is singular fails, with iterations -1; every other
+    row gets bitwise the result its block would have given it.
     """
     ok = np.zeros(len(p), dtype=bool)
     v = np.full((len(p), engine.n), np.nan, dtype=complex)
-    iterations = np.zeros(len(p), dtype=int)
+    iterations = np.full(len(p), -1)
     for r in range(len(p)):
         try:
             row = engine.solve(p[r : r + 1], q[r : r + 1], start=start, options=options)
@@ -307,7 +307,9 @@ def run_monte_carlo(
             parts = list(pool.map(solve, chunks))
     metrics = np.concatenate([part.metrics for part in parts])
     converged = np.concatenate([part.converged for part in parts])
-    iterations = np.bincount(np.concatenate([part.iterations for part in parts]))
+    iterations = np.concatenate([part.iterations for part in parts])
+    # Singular samples (-1) are in failed_indices, not in the histogram.
+    iterations = np.bincount(iterations[iterations >= 0])
     block_seconds = [t for part in parts for t in part.block_seconds]
     block_sizes = [k for part in parts for k in part.block_sizes]
 

@@ -1,7 +1,6 @@
 """Command-line surface: exit codes, report files, manifests, determinism."""
 
 import json
-import logging
 import os
 import stat
 import subprocess
@@ -32,15 +31,6 @@ mpc.branch = [
 @pytest.fixture
 def runner():
     return CliRunner()
-
-
-@pytest.fixture(autouse=True)
-def restore_rmss_log_level():
-    # every invocation sets the level of the process-wide "rmss" logger
-    logger = logging.getLogger("rmss")
-    level = logger.level
-    yield
-    logger.setLevel(level)
 
 
 def test_run_happy_path_writes_reports(runner, tmp_path):
@@ -346,25 +336,6 @@ def test_compare_refuses_schema_2_report(runner, tmp_path):
     assert result.exit_code == 3, result.output
     assert "schema 2" in result.output
 
-
-@pytest.mark.parametrize("level_args, command, manifest, level", [
-    ([], ["run", "--sigma-c", "auto"], "run_manifest.json", "warning"),
-    (["--log-level", "debug"], ["mc", "--samples", "20"], "mc_manifest.json", "debug"),
-])
-def test_log_level_echoed_in_manifest(runner, tmp_path, level_args, command, manifest, level):
-    result = runner.invoke(main, level_args + command + [
-        "--case", "case2", "--essential", "all", "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
-    config = json.loads((tmp_path / manifest).read_text())["config"]
-    assert config["log_level"] == level
-
-
-def test_invalid_log_level_exits_2(runner, tmp_path):
-    result = runner.invoke(main, ["--log-level", "verbose", "run", "--case", "case2",
-                                  "--essential", "all", "--out", str(tmp_path)])
-    assert result.exit_code == 2
-    assert "--log-level" in result.output
-    assert not (tmp_path / "run_manifest.json").exists()
 
 def test_compare_malformed_mc_report_and_bad_json_exit_3(runner, tmp_path):
     assert runner.invoke(main, ["run", "--case", "case2", "--essential", "all",

@@ -149,6 +149,9 @@ class TestRunMonteCarlo:
         assert mixed.n_failed == 1
         assert mixed.failed_indices.tolist() == [2]
         assert alone.n_failed == 0
+        # the singular sample stopped at no iteration count
+        assert mixed.newton_iterations == alone.newton_iterations
+        assert sum(mixed.newton_iterations.values()) == len(regular)
         for stat in ("metric_mean", "metric_stdev", "metric_ci_lb", "metric_ci_ub"):
             assert np.array_equal(getattr(mixed, stat), getattr(alone, stat))
 
