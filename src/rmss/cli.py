@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 solver failure, 3 configuration error. All
 report files are JSON/CSV written atomically, and every run leaves a
-manifest echoing the resolved configuration, versions, and seed.
+manifest echoing the resolved configuration (with ``mc``'s seed) and versions.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .exceptions import (
 )
 from .matpower import parse_case
 from .model import GridCase, tag_essential, validate_case
-from .montecarlo import CI_MEAN, CI_PERCENTILE, McReport, mae_compare, run_monte_carlo
+from .montecarlo import McReport, mae_compare, run_monte_carlo
 from .parameters import Axis, StochasticParameterSet
 from .powerflow import MetricSpec, PowerFlowEngine, default_metric_spec, solve_power_flow
 from .reportio import (
@@ -75,9 +75,9 @@ _CONFIG_ERRORS = (
 )
 
 
-def _manifest_config(seed: int | None) -> dict:
-    """The invoking command's options, echoed into its manifest, with the seed resolved."""
-    return {**click.get_current_context().params, "seed": _resolve_seed(seed)}
+def _manifest_config(**resolved) -> dict:
+    """The invoking command's options, echoed into its manifest, updated with ``resolved``."""
+    return {**click.get_current_context().params, **resolved}
 
 
 def _guarded(body):
@@ -240,12 +240,11 @@ _INPUT_OPTIONS = (
                  help="CSV file with a parameter correlation matrix."),
     click.option("--metrics", default="all", show_default=True,
                  help="'all' nonzero-injection PQ buses, or comma-separated bus ids."),
-    click.option("--seed", default=None, type=int, help="Falls back to RMSS_SEED, then 0."),
 )
 
 
 def _input_options(command):
-    """Case, parameter-model, metric and seed options shared by run, mc and sensitivity."""
+    """Case, parameter-model and metric options shared by run, mc and sensitivity."""
     for option in reversed(_INPUT_OPTIONS):
         command = option(command)
     return command
@@ -265,22 +264,22 @@ def main():
 @click.option("--limits", default="case", show_default=True,
               help="'case' per-bus limits or band:<pct> around nominal voltages.")
 @click.option("--out", default=".", show_default=True)
-def cmd_rmss(case, essential, axes, sigma_p, correlation, metrics, seed, rho, sigma_c, sweep,
-             limits, out):
+def cmd_rmss(case, essential, axes, sigma_p, correlation, metrics, rho, sigma_c, sweep, limits,
+             out):
     """Run the full risk-managed analysis and write its report files."""
 
     def body():
-        config = _manifest_config(seed)
+        config = _manifest_config()
         out_dir = _out_dir(out)
         grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
         report = run_rmss(
             grid, params, spec, rho=rho, sigma_c=_resolve_sigma_c(sigma_c, sweep),
-            limits=_resolve_limits(limits), seed=config["seed"],
+            limits=_resolve_limits(limits),
         )
         write_json(out_dir / "rmss_report.json", report.to_dict())
         write_violations_csv(out_dir / "violations.csv", report)
         write_worst_violator_csv(out_dir / "worst_violator.csv", report)
-        write_manifest(out_dir / "run_manifest.json", "run", config, config["seed"])
+        write_manifest(out_dir / "run_manifest.json", "run", config)
         total = sum(p.ub_total + p.lb_total for p in report.violations.points)
         click.echo(
             f"{len(report.metric_buses)} metrics x {len(report.points)} sigma point(s), "
@@ -295,32 +294,31 @@ def cmd_rmss(case, essential, axes, sigma_p, correlation, metrics, seed, rho, si
 @main.command("mc")
 @_input_options
 @click.option("--samples", required=True, type=int)
-@click.option("--ci", default=CI_PERCENTILE, type=click.Choice([CI_PERCENTILE, CI_MEAN]),
-              show_default=True, help="Interval kind: distribution percentiles or CI of the mean.")
+@click.option("--seed", default=None, type=int, help="Falls back to RMSS_SEED, then 0.")
 @click.option("--workers", default=1, show_default=True)
 @click.option("--sample-csv", default=None,
               help="Also dump every sample's metric values to this CSV.")
 @click.option("--out", default=".", show_default=True)
-def cmd_mc(case, essential, axes, sigma_p, correlation, metrics, seed, samples, ci, workers,
+def cmd_mc(case, essential, axes, sigma_p, correlation, metrics, samples, seed, workers,
            sample_csv, out):
     """Monte Carlo reference run; records wall-clock timing for speedups."""
 
     def body():
         if samples <= 0:
             raise ConfigError(f"--samples must be positive, got {samples}")
-        config = _manifest_config(seed)
+        config = _manifest_config(seed=_resolve_seed(seed))
         out_dir = _out_dir(out)
         if sample_csv is not None:
             _out_dir(Path(sample_csv).parent)
         grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
         report = run_monte_carlo(
             grid, params, spec, n=samples, seed=config["seed"], workers=workers,
-            ci_method=ci, keep_samples=sample_csv is not None,
+            keep_samples=sample_csv is not None,
         )
         if sample_csv is not None:
             report.samples_to_csv(sample_csv)
         write_json(out_dir / "mc_report.json", report.to_dict())
-        write_manifest(out_dir / "mc_manifest.json", "mc", config, config["seed"])
+        write_manifest(out_dir / "mc_manifest.json", "mc", config)
         click.echo(
             f"{report.n_samples} samples ({report.n_failed} failed) in "
             f"{report.total_runtime_s:.2f}s ({report.per_solve_mean_s * 1e3:.2f} ms/solve)"
@@ -363,7 +361,7 @@ def cmd_compare(rmss_report, mc_report, out):
 @main.command("sensitivity")
 @_input_options
 @click.option("--out", default="lambda.csv", show_default=True)
-def cmd_sensitivity(case, essential, axes, sigma_p, correlation, metrics, seed, out):
+def cmd_sensitivity(case, essential, axes, sigma_p, correlation, metrics, out):
     """Dump the metric/parameter sensitivity matrix as CSV."""
 
     def body():
@@ -376,7 +374,7 @@ def cmd_sensitivity(case, essential, axes, sigma_p, correlation, metrics, seed, 
                 f"power flow did not converge (history: {list(sol.mismatch_history)})",
                 solution=sol,
             )
-        sens = hybrid_sensitivities(engine, sol, params, spec, seed=_resolve_seed(seed))
+        sens = hybrid_sensitivities(engine, sol, params, spec)
         sens.to_csv(out)
         click.echo(f"{len(sens.metric_buses)}x{len(sens.parameter_labels)} matrix "
                    f"written to {out}")

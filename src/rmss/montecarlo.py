@@ -47,7 +47,6 @@ _MAX_FAILURE_RATE = 0.01  # beyond this the comparison is unrepresentative
 BLOCK_SIZE = 64  # samples per lockstep Newton block
 
 CI_PERCENTILE = "percentile"  # empirical 2.5/97.5 percentiles of the metric distribution
-CI_MEAN = "mean"  # normal-theory confidence interval of the mean
 
 
 @dataclass(eq=False)
@@ -154,7 +153,6 @@ class McReport:
     n_samples: int
     n_failed: int
     seed: int
-    ci_method: str
     metric_mean: np.ndarray
     metric_stdev: np.ndarray
     metric_ci_lb: np.ndarray
@@ -192,7 +190,7 @@ class McReport:
             "n_samples": self.n_samples,
             "n_failed": self.n_failed,
             "seed": self.seed,
-            "ci_method": self.ci_method,
+            "ci_method": CI_PERCENTILE,
             "metrics": {
                 "buses": list(self.metric_buses),
                 "mean": self.metric_mean.tolist(),
@@ -232,12 +230,19 @@ class McReport:
         """Rebuild a report written by :meth:`to_dict`; missing fields are a SchemaError.
 
         The ``diagnostics`` block is optional, so reports written before it
-        existed still load.
+        existed still load. A report whose intervals are not the sampled
+        percentiles is refused: the worst-case bounds are quantiles, and
+        ``mae_compare`` can score them against quantiles only.
         """
         try:
             stats, timing = data["statistics"], data["timing"]
             metrics, params = stats["metrics"], stats["parameters"]
             diagnostics = data.get("diagnostics", {})
+            if stats["ci_method"] != CI_PERCENTILE:
+                raise SchemaError(
+                    f"Monte Carlo report intervals are {stats['ci_method']!r}, "
+                    f"not {CI_PERCENTILE!r} quantiles"
+                )
             return cls(
                 case_name=data["case"],
                 metric_buses=tuple(metrics["buses"]),
@@ -245,7 +250,6 @@ class McReport:
                 n_samples=stats["n_samples"],
                 n_failed=stats["n_failed"],
                 seed=stats["seed"],
-                ci_method=stats["ci_method"],
                 metric_mean=np.array(metrics["mean"]),
                 metric_stdev=np.array(metrics["stdev"]),
                 metric_ci_lb=np.array(metrics["ci_lb"]),
@@ -274,7 +278,6 @@ def run_monte_carlo(
     n: int,
     seed: int,
     workers: int = 1,
-    ci_method: str = CI_PERCENTILE,
     options: NewtonOptions | None = None,
     keep_samples: bool = False,
 ) -> McReport:
@@ -283,8 +286,6 @@ def run_monte_carlo(
     Statistics depend only on (seed, n, params, case): the worker count
     merely decides which process solves each fixed block of samples.
     """
-    if ci_method not in (CI_PERCENTILE, CI_MEAN):
-        raise ValueError(f"unknown ci_method {ci_method!r}")
     t0 = time.perf_counter()
     opts = options or NewtonOptions()
 
@@ -321,12 +322,8 @@ def run_monte_carlo(
     if len(good):
         mean = good.mean(axis=0)
         stdev = good.std(axis=0, ddof=1) if len(good) > 1 else np.zeros(len(spec))
-        if ci_method == CI_PERCENTILE:
-            ci_lb = np.percentile(good, 2.5, axis=0)
-            ci_ub = np.percentile(good, 97.5, axis=0)
-        else:
-            half = _Z95 * stdev / np.sqrt(len(good))
-            ci_lb, ci_ub = mean - half, mean + half
+        ci_lb = np.percentile(good, 2.5, axis=0)
+        ci_ub = np.percentile(good, 97.5, axis=0)
     else:
         mean = stdev = ci_lb = ci_ub = np.full(len(spec), np.nan)
 
@@ -338,7 +335,6 @@ def run_monte_carlo(
         n_samples=n,
         n_failed=len(failed),
         seed=seed,
-        ci_method=ci_method,
         metric_mean=mean,
         metric_stdev=stdev,
         metric_ci_lb=ci_lb,

@@ -41,7 +41,7 @@ def write_json(path: str | Path, obj: dict) -> None:
     atomic_write_text(path, json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def write_manifest(path: str | Path, command: str, config: dict, seed: int) -> None:
+def write_manifest(path: str | Path, command: str, config: dict) -> None:
     import numpy
     import scipy
 
@@ -50,7 +50,6 @@ def write_manifest(path: str | Path, command: str, config: dict, seed: int) -> N
     manifest = {
         "command": command,
         "config": config,
-        "seed": seed,
         "versions": {
             "rmss": __version__,
             "numpy": numpy.__version__,

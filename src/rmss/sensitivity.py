@@ -4,7 +4,7 @@ Primary path is adjoint analysis at the converged operating point: the
 network Jacobian is factorized once and each metric costs one right-hand
 side of a single transposed-system solve, so the parameter count never
 enters the linear algebra. Central finite differences serve as the independent cross-check
-and as the nonlinearity detector for the statistical fallback.
+and as a probe that tags adjoint rows which disagree with them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
-    ModelEvaluationError,
     NonConvergence,
     NotConverged,
     TopologyError,
@@ -38,15 +37,16 @@ from .powerflow import (  # noqa: F401
     metric_positions,
     solve_power_flow,
 )
-from .sobol import sobol_rescaled_slopes
 
 logger = logging.getLogger(__name__)
 
 METHOD_ADJOINT = "adjoint"
 METHOD_FD = "finite-difference"
-METHOD_SOBOL = "sobol-rescaled"
+METHOD_NONLINEAR = "adjoint-nonlinear"  # adjoint row that the FD probe disagrees with
 
 _FD_TOLERANCE = 1e-12  # perturbed solves need slack below the FD step
+_FD_STEP = 1e-6
+_NONLINEARITY_THRESHOLD = 0.02  # relative adjoint/FD disagreement that flags a row
 
 
 @dataclass(eq=False)
@@ -146,7 +146,7 @@ def finite_difference_sensitivities(
     sol: PowerFlowSolution,
     params: StochasticParameterSet,
     spec: MetricSpec,
-    step: float = 1e-6,
+    step: float = _FD_STEP,
     columns: np.ndarray | None = None,
 ) -> SensitivityMatrix:
     """Central-difference estimate, two solves warm-started from ``sol`` per parameter.
@@ -196,83 +196,42 @@ def _probe_columns(d: int, limit: int = 4) -> np.ndarray:
     return np.unique(np.linspace(0, d - 1, limit).round().astype(int))
 
 
-def _powerflow_evaluator(engine, params, spec, base_sol):
-    """Batched parameter-matrix -> metric-matrix evaluator for Sobol runs."""
-
-    opts = NewtonOptions()
-    positions = metric_positions(engine.bus_ids, spec)
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        result = engine.solve(*params.injections(engine.case, x), start=base_sol, options=opts)
-        failed = np.flatnonzero(~result.converged)
-        if len(failed):
-            raise ModelEvaluationError("power flow diverged", sample_index=int(failed[0]))
-        return np.abs(result.v[:, positions])
-
-    return evaluate
-
-
 def hybrid_sensitivities(
     case: GridCase | PowerFlowEngine,
     sol: PowerFlowSolution,
     params: StochasticParameterSet,
     spec: MetricSpec,
-    nonlinearity_threshold: float = 0.02,
-    fd_step: float = 1e-6,
-    sobol_n_base: int = 256,
-    seed: int = 0,
 ) -> SensitivityMatrix:
-    """Adjoint rows by default, statistical re-estimation where they misbehave.
+    """Adjoint rows, each probed against central finite differences.
 
-    Each adjoint row is probed against central finite differences on a
-    small parameter subset; rows whose relative disagreement exceeds the
-    threshold are flagged highly nonlinear, re-estimated from a Saltelli
-    sample as signed index-rescaled slopes, and tagged accordingly. With
-    correlated parameters (nonzero off-diagonal covariance) that estimator
-    does not apply: flagged rows keep their adjoint values and a warning
-    names their buses. One
-    engine serves the adjoint, the probe and the Saltelli solves; ``case``
-    may be an engine already built for the case.
+    The probe differences a small parameter subset. A row whose relative
+    disagreement exceeds 2% keeps its adjoint values, is tagged
+    ``adjoint-nonlinear``, and one warning names its bus. Below the
+    probe's own resolution (its solve tolerance over the step) a row is
+    scaled by that resolution, so rounding noise on a row the network
+    pins, such as a PV bus voltage, flags nothing. ``case`` may be an
+    engine already built for the case.
     """
     engine = engine_for(case)
     adj = adjoint_sensitivities(engine, sol, params, spec)
     cols = _probe_columns(len(params))
     probe = finite_difference_sensitivities(
-        engine, sol, params, spec, step=fd_step, columns=cols
+        engine, sol, params, spec, step=_FD_STEP, columns=cols
     )
 
     diff = np.abs(adj.values[:, cols] - probe.values[:, cols]).max(axis=1)
-    scale = np.maximum(np.abs(probe.values[:, cols]).max(axis=1), 1e-9)
-    nonlinear = diff / scale > nonlinearity_threshold
-    if not np.any(nonlinear):
+    scale = np.maximum(np.abs(probe.values[:, cols]).max(axis=1), _FD_TOLERANCE / _FD_STEP)
+    nonlinear = diff / scale > _NONLINEARITY_THRESHOLD
+    if not nonlinear.any():
         return adj
 
-    flagged = np.flatnonzero(nonlinear)
-    # The Sobol estimator assumes independent inputs.
-    correlated = np.count_nonzero(params.sigma - np.diag(np.diag(params.sigma))) > 0
     logger.warning(
-        "metrics at buses %s are highly nonlinear (adjoint/FD disagreement > %.3g); %s",
-        [spec.buses[i] for i in flagged],
-        nonlinearity_threshold,
-        "the parameters are correlated, so their adjoint rows are kept"
-        if correlated
-        else "re-estimating statistically",
+        "metrics at buses %s are highly nonlinear (adjoint/FD disagreement > %.3g); "
+        "their adjoint rows are kept",
+        [bus for bus, bad in zip(spec.buses, nonlinear) if bad],
+        _NONLINEARITY_THRESHOLD,
     )
-    if correlated:
-        return adj
-    sub_spec = MetricSpec(tuple(spec.entries[i] for i in flagged))
-    model = _powerflow_evaluator(engine, params, sub_spec, sol)
-    slopes = sobol_rescaled_slopes(model, params, n_base=sobol_n_base, seed=seed)
-
-    values = adj.values.copy()
-    methods = list(adj.methods)
-    for row, i in enumerate(flagged):
-        values[i] = slopes[row]
-        methods[i] = METHOD_SOBOL
-    return SensitivityMatrix(
-        values=values,
-        metric_buses=adj.metric_buses,
-        parameter_labels=adj.parameter_labels,
-        methods=tuple(methods),
-        adjoint_solves=adj.adjoint_solves,
+    adj.methods = tuple(
+        METHOD_NONLINEAR if bad else method for method, bad in zip(adj.methods, nonlinear)
     )
+    return adj

@@ -33,12 +33,6 @@ class SobolIndices:
     n_evaluations: int
 
 
-def _normal_marginals(params: StochasticParameterSet):
-    from scipy import stats
-
-    return [stats.norm(loc=e.mean, scale=e.stdev) for e in params.entries]
-
-
 def _draw_bases(d: int, n_base: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     from scipy.stats import qmc  # imported here: scipy.stats dominates `import rmss`
 
@@ -67,22 +61,12 @@ def _evaluate(model: ModelFn, x: np.ndarray, block: str) -> np.ndarray:
     return y
 
 
-@dataclass(eq=False)
-class _SaltelliRun:
-    s1: np.ndarray  # (m, d)
-    conf: np.ndarray  # (m, d)
-    var_y: np.ndarray  # (m,)
-    cov_sign: np.ndarray  # (m, d) sign of cov(parameter, output)
-    n_base: int
-    n_evaluations: int
-
-
 def _saltelli_run(
     model: ModelFn,
     marginals: Sequence,
     n_base: int,
     seed: int,
-) -> _SaltelliRun:
+) -> SobolIndices:
     d = len(marginals)
     ua, ub = _draw_bases(d, n_base, seed)
     a = np.column_stack([marginals[j].ppf(ua[:, j]) for j in range(d)])
@@ -122,24 +106,9 @@ def _saltelli_run(
         boots[r] = prod[pick].mean(axis=0) / safe_var[:, None]
     conf = _Z95 * boots.std(axis=0, ddof=1)
 
-    x_pool = np.concatenate([a, b], axis=0)
-    xc = x_pool - x_pool.mean(axis=0)
-    yc = pooled - pooled.mean(axis=0)
-    cov = yc.T @ xc / (x_pool.shape[0] - 1)  # (m, d)
-    return _SaltelliRun(
-        s1=s1,
-        conf=conf,
-        var_y=var_y,
-        cov_sign=np.where(cov >= 0.0, 1.0, -1.0),
-        n_base=n_base,
-        n_evaluations=n_base * (d + 2),
+    return SobolIndices(
+        values=s1, conf=conf, n_base=n_base, n_evaluations=n_base * (d + 2)
     )
-
-
-def _resolve_marginals(params) -> Sequence:
-    if isinstance(params, StochasticParameterSet):
-        return _normal_marginals(params)
-    return list(params)
 
 
 def sobol_first_order(
@@ -157,31 +126,8 @@ def sobol_first_order(
     """
     if n_base < 64:
         raise ValueError(f"n_base must be >= 64, got {n_base}")
-    marginals = _resolve_marginals(params)
-    run = _saltelli_run(model, marginals, n_base, seed)
-    return SobolIndices(
-        values=run.s1, conf=run.conf, n_base=run.n_base, n_evaluations=run.n_evaluations
-    )
+    if isinstance(params, StochasticParameterSet):
+        from scipy import stats
 
-
-def sobol_rescaled_slopes(
-    model: ModelFn,
-    params: StochasticParameterSet,
-    n_base: int,
-    seed: int,
-) -> np.ndarray:
-    """Signed linear slopes (m, d) recovered from first-order indices.
-
-    An index gives the variance fraction |slope_j|^2 sigma_j^2 / Var(Y);
-    the magnitude follows from inverting that, and the sign comes from the
-    sample covariance between parameter and output. Exact for a linear
-    model with independent inputs.
-    """
-    if n_base < 64:
-        raise ValueError(f"n_base must be >= 64, got {n_base}")
-    run = _saltelli_run(model, _normal_marginals(params), n_base, seed)
-    stdevs = params.stdevs
-    safe_std = np.where(stdevs > 0, stdevs, 1.0)
-    mags = np.sqrt(np.clip(run.s1, 0.0, None) * run.var_y[:, None]) / safe_std[None, :]
-    mags[:, stdevs == 0.0] = 0.0
-    return run.cov_sign * mags
+        params = [stats.norm(loc=e.mean, scale=e.stdev) for e in params.entries]
+    return _saltelli_run(model, list(params), n_base, seed)

@@ -448,7 +448,6 @@ def run_rmss(
     rho: float = 0.975,
     sigma_c: SweepGrid | float | str | None = None,
     limits: dict[int, tuple[float, float]] | float | str = "case",
-    nonlinearity_threshold: float = 0.02,
     seed: int = 0,
     options: NewtonOptions | None = None,
 ) -> RmssReport:
@@ -459,7 +458,8 @@ def run_rmss(
     from the parameter covariance, or None for the default sweep.
     ``limits`` is ``"case"`` for the per-bus limits carried by the case, a
     float band fraction applied around each nominal metric value, or an
-    explicit ``{bus: (v_min, v_max)}`` map.
+    explicit ``{bus: (v_min, v_max)}`` map. ``seed`` is unused: nothing in
+    the analysis is random.
     """
     t0 = time.perf_counter()
     z = _quantile(rho)
@@ -476,7 +476,7 @@ def run_rmss(
     buses = spec.buses
     c_nom = evaluate_metrics(sol, spec)
 
-    sens = hybrid_sensitivities(engine, sol, params, spec, nonlinearity_threshold, seed=seed)
+    sens = hybrid_sensitivities(engine, sol, params, spec)
     variance, degenerate, directions = _linearization(params.sigma, sens.values)
     if degenerate.any():
         logger.warning(

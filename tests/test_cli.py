@@ -47,6 +47,7 @@ def test_run_happy_path_writes_reports(runner, tmp_path):
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["command"] == "run"
     assert manifest["config"]["sigma_p"] == "2%"
+    assert "seed" not in manifest and "seed" not in manifest["config"]
     assert "numpy" in manifest["versions"]
     csv = (tmp_path / "violations.csv").read_text().splitlines()
     assert csv[0] == "sigma,ub_violations,lb_violations,total"
@@ -88,6 +89,30 @@ def test_run_band_limits_accepted(runner, tmp_path):
     assert result.exit_code == 0, result.output
 
 
+def test_run_pv_bus_metrics_keep_adjoint_rows(runner, tmp_path):
+    # buses 2 and 3 are PV buses: their generators hold the voltage
+    result = runner.invoke(main, [
+        "run", "--case", "case14_stoch", "--essential", "all-solar",
+        "--metrics", "2,3", "--sigma-c", "auto", "--out", str(tmp_path),
+    ])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "rmss_report.json").read_text())
+    assert report["sensitivity_methods"] == ["adjoint", "adjoint"]
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--seed", "1"],
+    ["sensitivity", "--seed", "1", "--out", "{dir}/lambda.csv"],
+    ["mc", "--samples", "20", "--ci", "mean"],
+])
+def test_removed_options_are_usage_errors(runner, tmp_path, args):
+    result = runner.invoke(main, [a.format(dir=tmp_path) for a in args] + [
+        "--case", "case2", "--essential", "all", "--out", str(tmp_path),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.output
+
+
 @pytest.mark.parametrize("sigma_c", ["0.5%", "0.002"])
 def test_run_known_sigma_c_single_point(runner, tmp_path, sigma_c):
     result = runner.invoke(main, [
@@ -123,6 +148,8 @@ def test_mc_happy_path_and_seed_env(runner, tmp_path, monkeypatch):
     stats = json.loads((tmp_path / "mc_report.json").read_text())["statistics"]
     assert stats["seed"] == 123
     assert stats["n_samples"] == 50
+    manifest = json.loads((tmp_path / "mc_manifest.json").read_text())
+    assert manifest["config"]["seed"] == 123
 
 
 def test_mc_sample_csv_dump(runner, tmp_path):
@@ -297,7 +324,7 @@ def test_reports_are_readable_under_the_umask(runner, tmp_path):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of a cold start; only the Sobol fallback needs it
+    # scipy.stats is most of a cold start; only the Sobol index estimator needs it
     code = "import sys, rmss; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -335,6 +362,22 @@ def test_compare_refuses_schema_2_report(runner, tmp_path):
                                   "--out", str(tmp_path)])
     assert result.exit_code == 3, result.output
     assert "schema 2" in result.output
+
+
+def test_compare_refuses_mean_ci_mc_report(runner, tmp_path):
+    # bounds are quantiles: scoring them against a CI of the mean is meaningless
+    for command in (["run", "--sigma-c", "auto"], ["mc", "--samples", "20"]):
+        result = runner.invoke(main, command + ["--case", "case2", "--essential", "all",
+                                                "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+    data = json.loads((tmp_path / "mc_report.json").read_text())
+    data["statistics"]["ci_method"] = "mean"
+    old = tmp_path / "mean_ci.json"
+    old.write_text(json.dumps(data))
+    result = runner.invoke(main, ["compare", str(tmp_path / "rmss_report.json"), str(old),
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "'mean'" in result.output
 
 
 def test_compare_malformed_mc_report_and_bad_json_exit_3(runner, tmp_path):
@@ -385,7 +428,7 @@ def test_uncreatable_out_dir_exits_3(runner, tmp_path):
 
 
 def test_shared_input_options_on_every_model_command():
-    shared = ["case", "essential", "axes", "sigma_p", "correlation", "metrics", "seed"]
+    shared = ["case", "essential", "axes", "sigma_p", "correlation", "metrics"]
     commands = [main.commands[name] for name in ("run", "mc", "sensitivity")]
     for name in shared:
         options = [next(p for p in cmd.params if p.name == name) for cmd in commands]

@@ -18,7 +18,7 @@ from rmss.exceptions import (
     NotPSD,
 )
 from rmss import montecarlo
-from rmss.montecarlo import CI_MEAN, McReport, SampleBatch
+from rmss.montecarlo import McReport, SampleBatch
 from rmss.parameters import Axis, ParameterEntry, StochasticParameterSet
 from rmss.powerflow import build_admittance
 
@@ -105,15 +105,6 @@ class TestRunMonteCarlo:
         parallel = run_monte_carlo(case, params, spec, n=120, seed=9, workers=3)
         assert serial.statistics_dict() == parallel.statistics_dict()
         assert np.array_equal(serial.metric_mean, parallel.metric_mean)
-
-    def test_mean_ci_narrower_than_percentiles(self, two_bus_stochastic):
-        case, params = two_bus_stochastic
-        spec = MetricSpec.voltages_at([2])
-        pct = run_monte_carlo(case, params, spec, n=400, seed=5)
-        mean_ci = run_monte_carlo(case, params, spec, n=400, seed=5, ci_method=CI_MEAN)
-        assert (mean_ci.metric_ci_ub - mean_ci.metric_ci_lb)[0] < (
-            pct.metric_ci_ub - pct.metric_ci_lb
-        )[0]
 
     def test_nominal_divergence_aborts(self):
         case = tag_essential(two_bus(p_load=6.0), ["l1"])
