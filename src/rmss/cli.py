@@ -1,8 +1,9 @@
 """Command-line front end for the risk-managed steady-state pipeline.
 
-Exit codes: 0 success, 2 solver failure, 3 configuration error. All
-report files are JSON/CSV written atomically, and every run leaves a
-manifest echoing the resolved configuration (with ``mc``'s seed) and versions.
+Exit codes: 0 success, 2 solver failure, 3 bad configuration or input,
+including a command line that does not parse. All report files are
+JSON/CSV written atomically, and every run leaves a manifest echoing the
+resolved configuration (with ``mc``'s seed) and versions.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -250,7 +252,28 @@ def _input_options(command):
     return command
 
 
-@click.group()
+class _Group(click.Group):
+    """Click's command group, but a usage error exits EXIT_CONFIG, not click's 2 (EXIT_SOLVER)."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors_exit_config():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors_exit_config():
+            return super().invoke(ctx)
+
+
+@contextmanager
+def _usage_errors_exit_config():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_CONFIG  # this error only; the class keeps click's 2
+        raise
+
+
+@click.group(cls=_Group)
 def main():
     """Risk-managed steady-state analysis of power grids."""
 

@@ -102,17 +102,17 @@ class StochasticParameterSet:
         """Per-bus net (p, q) injections, (S, n) each, for (S, d) parameter rows.
 
         Each row is the case's injections with that row's entry values
-        substituted for the means, added entry by entry in entry order.
+        substituted for the means, added entry by entry in entry order:
+        ``np.add.at`` adds at a repeated (axis, bus) pair in index order.
         """
         values = np.atleast_2d(values)
         delta = values - self.means
         p0, q0 = case.injections()
-        p = np.tile(p0, (len(values), 1))
-        q = np.tile(q0, (len(values), 1))
-        for k, (entry, bus) in enumerate(zip(self.entries, self.bus_map(case))):
-            target = p if entry.axis is Axis.P else q
-            target[:, bus] += delta[:, k]
-        return p, q
+        pq = np.empty((2, len(values), len(p0)))
+        pq[0], pq[1] = p0, q0
+        axis = np.array([entry.axis is Axis.Q for entry in self.entries], dtype=int)
+        np.add.at(pq, (axis, slice(None), self.bus_map(case)), delta.T)
+        return pq[0], pq[1]
 
     def apply(
         self, case: GridCase, values: np.ndarray

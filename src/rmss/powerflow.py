@@ -122,7 +122,8 @@ class PowerFlowEngine:
     Newton on a block of samples in lockstep, each sample with its own
     Jacobian; the Jacobians are factored a stack at a time as one
     block-diagonal matrix, so a sample's iterates do not depend on the
-    block it is solved in.
+    block it is solved in. :meth:`chord_solve` and :meth:`solve_transposed`
+    instead reuse one factorization at an already solved state.
     """
 
     def __init__(self, case: GridCase):
@@ -180,6 +181,13 @@ class PowerFlowEngine:
         self._indptr = np.searchsorted(pattern // self.dim, np.arange(self.dim + 1)).astype(
             np.intc
         )
+        # J^T's CSC arrays are J's CSR ones: J's entries taken row by row.
+        rows_of, cols_of = self._indices, pattern // self.dim
+        self._t_gather = np.argsort(rows_of * self.dim + cols_of)
+        self._t_indices = cols_of[self._t_gather].astype(np.intc)
+        self._t_indptr = np.searchsorted(
+            rows_of[self._t_gather], np.arange(self.dim + 1)
+        ).astype(np.intc)
         self._template = np.full(len(pattern), -0.0)
         self._template[slot[: len(const_vals)]] = const_vals
         self._var_slots = slot[len(const_vals) :]
@@ -262,12 +270,21 @@ class PowerFlowEngine:
         """A Jacobian with the CSC values ``data`` on the engine's fixed pattern."""
         return sparse.csc_matrix((data, self._indices, self._indptr), shape=(self.dim, self.dim))
 
-    def _factorize(self, jac: sparse.csc_matrix):
-        """Sparse LU of one Jacobian; an uncoupled bus is named in the error."""
+    def _factorize(self, data: np.ndarray, transposed: bool = False):
+        """Sparse LU of the Jacobian with CSC values ``data``, or of its transpose.
+
+        Either way, a bus that no equation couples is named in the error.
+        """
+        if transposed:
+            jac = sparse.csc_matrix(
+                (data[self._t_gather], self._t_indices, self._t_indptr), shape=(self.dim, self.dim)
+            )
+        else:
+            jac = self._jacobian(data)
         try:
             return splu(jac)
         except RuntimeError as exc:
-            row_mass = np.bincount(jac.indices, weights=np.abs(jac.data), minlength=self.dim)
+            row_mass = np.bincount(self._indices, weights=np.abs(data), minlength=self.dim)
             if np.any(row_mass == 0.0):
                 row = int(np.flatnonzero(row_mass == 0.0)[0])
                 bus = self.case.buses[row // 2 if row < 2 * self.n else self.pv[row - 2 * self.n]]
@@ -285,7 +302,7 @@ class PowerFlowEngine:
         the stack arrays hold the block-diagonal pattern of the largest
         stack; a stack of k rows uses their leading parts.
         """
-        perm_c = self._factorize(self._jacobian(data)).perm_c  # column j goes to perm_c[j]
+        perm_c = self._factorize(data).perm_c  # column j goes to perm_c[j]
         self._order = np.argsort(perm_c)
         position = perm_c[np.repeat(np.arange(self.dim), np.diff(self._indptr))]
         self._gather = np.argsort(position, kind="stable")  # keeps rows sorted in a column
@@ -326,16 +343,88 @@ class PowerFlowEngine:
                 lu = splu(stack, permc_spec="NATURAL")
             except RuntimeError:
                 for r in range(s, s + k):
-                    self._factorize(self._jacobian(data[r]))
+                    self._factorize(data[r])
                 raise
             step[s : s + k, self._order] = lu.solve(rhs[s : s + k].ravel()).reshape(k, -1)
         return step
 
-    def factorize_at(self, start: PowerFlowSolution, p: np.ndarray, q: np.ndarray):
-        """Sparse LU of the Jacobian at ``start``'s state under one row of injections."""
+    def _jacobian_data_at(
+        self, start: PowerFlowSolution, p: np.ndarray, q: np.ndarray
+    ) -> np.ndarray:
+        """CSC data of the Jacobian at ``start``'s state under one row of injections."""
         p, q = np.atleast_2d(p), np.atleast_2d(q)
         e, f, q_eff, _, _ = self._terms(self._initial_states(q, start), q)
-        return self._factorize(self._jacobian(self._jacobian_data(e, f, q_eff, p)[0]))
+        return self._jacobian_data(e, f, q_eff, p)[0]
+
+    def solve_transposed(
+        self, start: PowerFlowSolution, p: np.ndarray, q: np.ndarray, rhs: np.ndarray
+    ) -> np.ndarray:
+        """J^-T rhs for the Jacobian J at ``start``'s state under one row of injections.
+
+        J^T itself is factored, so every column of the (dim, k) ``rhs`` goes
+        through one non-transposed multi-right-hand-side solve; SuperLU
+        solves ``trans="T"`` one column at a time. A singular J raises the
+        :class:`JacobianSingular` that factoring J would.
+        """
+        return self._factorize(self._jacobian_data_at(start, p, q), transposed=True).solve(rhs)
+
+    def chord_solve(
+        self,
+        p: np.ndarray,
+        q: np.ndarray,
+        start: PowerFlowSolution,
+        base: tuple[np.ndarray, np.ndarray],
+        options: NewtonOptions | None = None,
+    ) -> BatchSolution:
+        """Each row of the (S, n) injections solved from ``start`` by chord steps.
+
+        Every chord step reuses one LU: the Jacobian at ``start``'s state
+        under the ``base`` injections (p, q), the ones ``start`` solves. All
+        rows step in lockstep, with one multi-right-hand-side solve per
+        step. A row that meets the tolerance within ``CHORD_STEPS`` steps has
+        converged; every other row is handed to :meth:`solve` from ``start``,
+        so it converges or fails, and reports it, as full Newton would.
+        """
+        opts = options or NewtonOptions()
+        p, q = np.atleast_2d(p), np.atleast_2d(q)
+        x = self._initial_states(q, start)
+        lu = self._factorize(self._jacobian_data_at(start, *base))
+        history = np.full((len(x), opts.max_iter + 2), np.nan)
+        iterations = np.zeros(len(x), dtype=int)
+        converged = np.zeros(len(x), dtype=bool)
+        rows = np.arange(len(x))  # the rows still stepping
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for it in range(CHORD_STEPS + 1):
+                e, f, q_eff, v, i_net = self._terms(x[rows], q[rows])
+                mismatch = self._mismatch(v, i_net, p[rows], q[rows])
+                history[rows, it] = mismatch
+                ok = mismatch <= opts.tolerance
+                converged[rows[ok]] = True
+                iterations[rows[ok]] = it
+                go = ~ok & (mismatch <= _DIVERGENCE_LIMIT)  # False for NaN too
+                if it == CHORD_STEPS or not go.any():
+                    break
+                rows, e, f, q_eff, i_net = rows[go], e[go], f[go], q_eff[go], i_net[go]
+                rhs = -self._residual(e, f, q_eff, i_net, p[rows])
+                x[rows] = self._pin_slack(x[rows] + lu.solve(rhs.T).T)
+        v = x[:, 0 : 2 * self.n : 2] + 1j * x[:, 1 : 2 * self.n : 2]
+        q_pv = x[:, 2 * self.n :]
+        unsettled = np.flatnonzero(~converged)
+        if len(unsettled):
+            newton = self.solve(p[unsettled], q[unsettled], start, opts)
+            v[unsettled], q_pv[unsettled] = newton.v, newton.q_pv
+            converged[unsettled] = newton.converged
+            iterations[unsettled] = newton.iterations
+            history[unsettled] = newton.history
+        return BatchSolution(
+            v=v,
+            q_pv=q_pv,
+            bus_ids=self.bus_ids,
+            pv_ids=tuple(self.bus_ids[i] for i in self.pv),
+            converged=converged,
+            iterations=iterations,
+            history=history,
+        )
 
     def _pin_slack(self, x: np.ndarray) -> np.ndarray:
         """Hold the slack voltage at its setpoint bit-exactly."""
@@ -429,6 +518,10 @@ class BatchSolution:
 
 
 _DIVERGENCE_LIMIT = 1e8
+
+# Chord steps a row of :meth:`PowerFlowEngine.chord_solve` may take before
+# full Newton solves it instead. A finite-difference probe row settles in one or two.
+CHORD_STEPS = 4
 
 # Jacobian nonzeros per stacked factorization. SuperLU's workspace is about
 # 20x its input: at 12,000 the case118 benchmarks' peak RSS rose by 1.5-2.6

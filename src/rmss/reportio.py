@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import tempfile
 from pathlib import Path
 
 from .worstcase import RmssReport
@@ -14,15 +13,14 @@ from .worstcase import RmssReport
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file in the same directory, then rename into place.
 
-    The file gets the mode a plain ``open`` would give it (0o666 less the
-    umask), not the owner-only mode of the temp file.
+    The temp file is created with mode 0o666 under a fresh random name, so
+    the kernel applies the umask as for a plain ``open``; reading the umask
+    would mean setting it, which races with files other threads create.
     """
     path = Path(path)
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -1,10 +1,10 @@
 """First-order metric sensitivities w.r.t. essential component injections.
 
 Primary path is adjoint analysis at the converged operating point: the
-network Jacobian is factorized once and each metric costs one right-hand
-side of a single transposed-system solve, so the parameter count never
-enters the linear algebra. Central finite differences serve as the independent cross-check
-and as a probe that tags adjoint rows which disagree with them.
+transposed network Jacobian is factorized once and each metric costs one
+right-hand side of a single solve, so the parameter count never enters
+the linear algebra. Central finite differences serve as the independent
+cross-check and as a probe that tags adjoint rows which disagree with them.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def adjoint_sensitivities(
     params: StochasticParameterSet,
     spec: MetricSpec,
 ) -> SensitivityMatrix:
-    """Gradient of every metric via one multi-right-hand-side transposed solve.
+    """Gradient of every metric via one multi-right-hand-side solve on the factored J^T.
 
     The residual at the solution is differentiated in-place: injection
     parameters enter only the excitation side of the network equations, so
@@ -101,8 +101,6 @@ def adjoint_sensitivities(
         raise NotConverged("adjoint analysis requires a converged solution")
     engine = engine_for(case)
     buses = _require_pq_parameters(engine.case, params)
-
-    lu = engine.factorize_at(sol, *params.apply(engine.case, params.means))
 
     e, f = sol.v.real, sol.v.imag
     d = e * e + f * f
@@ -129,7 +127,7 @@ def adjoint_sensitivities(
     g[2 * k + 1, cols] = f[k] / mag
     values = np.zeros((len(spec), len(params)))
     if len(rows):
-        lam = lu.solve(g, trans="T")
+        lam = engine.solve_transposed(sol, *params.apply(engine.case, params.means), g)
         values[rows] = -(lam[2 * buses].T * dfr + lam[2 * buses + 1].T * dfi)
 
     return SensitivityMatrix(
@@ -151,7 +149,9 @@ def finite_difference_sensitivities(
 ) -> SensitivityMatrix:
     """Central-difference estimate, two solves warm-started from ``sol`` per parameter.
 
-    Every +/-step probe is one row of a single engine block. ``columns``
+    Every +/-step probe is one row of a single engine block, solved by
+    chord steps on the Jacobian at ``sol``; a row they do not settle is
+    solved by full Newton, and one that fails there is named. ``columns``
     restricts the differencing to a subset of parameters (others stay
     zero); used by the hybrid probe. ``case`` may be an engine already
     built for the case.
@@ -165,10 +165,11 @@ def finite_difference_sensitivities(
 
     cols = np.arange(len(params)) if columns is None else np.asarray(columns)
     signs = (+1.0, -1.0)
-    probes = np.tile(params.means, (2 * len(cols), 1))
+    probes = np.tile(params.means, (2 * len(cols) + 1, 1))  # the last row stays at the means
     for r, (j, sign) in enumerate(itertools.product(cols, signs)):
         probes[r, j] += sign * step
-    result = engine.solve(*params.injections(engine.case, probes), start=sol, options=opts)
+    p, q = params.injections(engine.case, probes)
+    result = engine.chord_solve(p[:-1], q[:-1], sol, (p[-1], q[-1]), opts)
     failed = np.flatnonzero(~result.converged)
     if len(failed):
         r = int(failed[0])

@@ -6,11 +6,13 @@ import stat
 import subprocess
 import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from rmss.cli import main
 from rmss.montecarlo import BLOCK_SIZE
+from rmss.reportio import atomic_write_text
 
 OVERLOADED = """\
 function mpc = overload
@@ -109,8 +111,16 @@ def test_removed_options_are_usage_errors(runner, tmp_path, args):
     result = runner.invoke(main, [a.format(dir=tmp_path) for a in args] + [
         "--case", "case2", "--essential", "all", "--out", str(tmp_path),
     ])
-    assert result.exit_code == 2, result.output
+    assert result.exit_code == 3, result.output
     assert "No such option" in result.output
+
+
+def test_usage_error_exits_3_not_the_solver_code(runner, tmp_path):
+    result = runner.invoke(main, ["run", "--case", "case2", "--essential", "all",
+                                  "--axes", "x", "--out", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "Invalid value for '--axes'" in result.output
+    assert click.UsageError.exit_code == 2  # only rmss's own errors change code
 
 
 @pytest.mark.parametrize("sigma_c", ["0.5%", "0.002"])
@@ -321,6 +331,17 @@ def test_reports_are_readable_under_the_umask(runner, tmp_path):
     assert result.exit_code == 0, result.output
     for name in ("rmss_report.json", "violations.csv", "run_manifest.json"):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
+
+
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # Setting the umask to read it would leave it 0 for files other threads create.
+    def forbidden(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", forbidden)
+    atomic_write_text(tmp_path / "out.txt", "text\n")
+    assert (tmp_path / "out.txt").read_text() == "text\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -2,19 +2,36 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
-from rmss import MetricSpec, default_metric_spec, solve_power_flow, tag_essential
-from rmss.exceptions import NonConvergence, NotConverged, TopologyError, ZeroStep
+from rmss import (
+    MetricSpec,
+    NewtonOptions,
+    PowerFlowEngine,
+    default_metric_spec,
+    solve_power_flow,
+    tag_essential,
+)
+from rmss.exceptions import (
+    JacobianSingular,
+    NonConvergence,
+    NotConverged,
+    SingularityWarning,
+    TopologyError,
+    ZeroStep,
+)
+from rmss.model import Bus, BusKind, GridCase, Load
 from rmss.parameters import Axis, StochasticParameterSet
 from rmss.sensitivity import (
     METHOD_ADJOINT,
     METHOD_NONLINEAR,
+    _probe_columns,
     adjoint_sensitivities,
     finite_difference_sensitivities,
     hybrid_sensitivities,
 )
 
-from test_powerflow import two_bus
+from test_powerflow import Branch, two_bus
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +208,104 @@ def test_fd_divergence_names_parameter_and_step_sign():
     with pytest.raises(NonConvergence, match=r"l1\.P -0\.2") as err:
         finite_difference_sensitivities(case, sol, params, MetricSpec.voltages_at([2]), step=0.2)
     assert not err.value.solution.converged
+
+
+def _factor_j_solve_transposed(engine, start, p, q, rhs):
+    """The reference adjoint solve: SuperLU of J itself, then ``trans="T"``."""
+    p, q = np.atleast_2d(p), np.atleast_2d(q)
+    e, f, q_eff, _, _ = engine._terms(engine._initial_states(q, start), q)
+    return splu(engine._jacobian(engine._jacobian_data(e, f, q_eff, p)[0])).solve(rhs, trans="T")
+
+
+def _full_newton_probe(engine, p, q, start, base, options=None):
+    """The reference probe: every +/-step row solved by full Newton from ``start``."""
+    return engine.solve(p, q, start, options)
+
+
+@pytest.fixture(scope="module")
+def nominal_cases(case14, case118):
+    """(engine, solution, parameters, spec) per case, solved at the parameter means."""
+    out = {}
+    for name, case, selector in [
+        ("case14-all-solar", case14, "all-solar"),
+        ("case118-all", case118, "all"),
+        ("case118-all-renewable", case118, "all-renewable"),  # keeps PV buses
+    ]:
+        tagged = tag_essential(case, selector)
+        params = StochasticParameterSet.from_case(tagged)
+        engine = PowerFlowEngine(tagged)
+        sol = solve_power_flow(engine, injections=params.apply(tagged, params.means))
+        assert sol.converged
+        out[name] = engine, sol, params, default_metric_spec(tagged)
+    return out
+
+
+@pytest.mark.parametrize("name", ["case14-all-solar", "case118-all", "case118-all-renewable"])
+def test_adjoint_on_factored_transpose_matches_transposed_solve(nominal_cases, name, monkeypatch):
+    engine, sol, params, spec = nominal_cases[name]
+    got = adjoint_sensitivities(engine, sol, params, spec)
+    with monkeypatch.context() as m:
+        m.setattr(PowerFlowEngine, "solve_transposed", _factor_j_solve_transposed)
+        want = adjoint_sensitivities(engine, sol, params, spec)
+    assert got.adjoint_solves == want.adjoint_solves == len(spec)
+    assert relative_row_error(got.values, want.values).max() <= 1e-12
+
+
+def test_adjoint_singular_jacobian_names_the_uncoupled_bus():
+    # zero injections converge at the flat start, where bus 3 couples to nothing
+    case = tag_essential(
+        GridCase(
+            base_mva=100.0,
+            buses=(
+                Bus(1, BusKind.SLACK, v_setpoint=1.0, angle_setpoint=0.0, v_max=1.1, v_min=0.9),
+                Bus(2, BusKind.PQ, v_max=1.1, v_min=0.9),
+                Bus(3, BusKind.PQ, v_max=1.1, v_min=0.9),
+            ),
+            branches=(Branch(1, 2, 0.01, 0.1),),
+            generators=(),
+            loads=(Load("l1", 2, 0.0, 0.0),),
+        ),
+        ["l1"],
+    )
+    params = StochasticParameterSet.from_case(case, sigma_abs=0.01)
+    with pytest.warns(SingularityWarning):
+        engine = PowerFlowEngine(case)
+    sol = solve_power_flow(engine)
+    assert sol.converged and sol.iterations == 0
+    with pytest.raises(JacobianSingular, match="no equations couple bus 3"):
+        adjoint_sensitivities(engine, sol, params, MetricSpec.voltages_at([2]))
+
+
+@pytest.mark.parametrize("name", ["case14-all-solar", "case118-all", "case118-all-renewable"])
+def test_chord_probe_matches_full_newton_probe(nominal_cases, name, monkeypatch):
+    engine, sol, params, spec = nominal_cases[name]
+    cols = _probe_columns(len(params))  # the columns the hybrid probe differences
+    got = finite_difference_sensitivities(engine, sol, params, spec, columns=cols)
+    with monkeypatch.context() as m:
+        m.setattr(PowerFlowEngine, "chord_solve", _full_newton_probe)
+        want = finite_difference_sensitivities(engine, sol, params, spec, columns=cols)
+    assert np.abs(got.values - want.values).max() <= 1e-8
+    assert not np.array_equal(got.values, want.values)  # the chord path ran
+
+
+def test_probe_rows_chord_steps_cannot_settle_are_solved_by_newton(monkeypatch):
+    # 4.9 pu sits near the 5 pu nose: a 0.05 pu step moves the Jacobian too
+    # far for chord steps on the nominal one, so Newton solves both rows
+    case = tag_essential(two_bus(p_load=4.9), ["l1"])
+    params = StochasticParameterSet.from_case(case, sigma_abs=0.01)
+    engine = PowerFlowEngine(case)
+    sol = solve_power_flow(engine)
+    p, q = params.injections(case, params.means + np.array([[0.05], [-0.05]]))
+    opts = NewtonOptions(tolerance=1e-12, max_iter=60)
+    got = engine.chord_solve(p, q, sol, params.apply(case, params.means), opts)
+    want = engine.solve(p, q, sol, opts)
+    assert got.converged.all()
+    for field in ("v", "q_pv", "converged", "iterations", "history"):
+        assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+
+    spec = MetricSpec.voltages_at([2])
+    chord = finite_difference_sensitivities(engine, sol, params, spec, step=0.05)
+    with monkeypatch.context() as m:
+        m.setattr(PowerFlowEngine, "chord_solve", _full_newton_probe)
+        newton = finite_difference_sensitivities(engine, sol, params, spec, step=0.05)
+    assert np.array_equal(chord.values, newton.values)

@@ -1,5 +1,6 @@
 """Closed-form worst-case construction, sweeps, and violation counting."""
 
+import base64
 import dataclasses
 import json
 import math
@@ -388,12 +389,22 @@ class TestRunRmss:
         params = StochasticParameterSet.from_case(case14_solar)
         report = run_rmss(case14_solar, params, limits=0.02)
         data = report.to_dict()
-        assert data["schema"] == 3
+        assert data["schema"] == 4
         assert set(data["points"][0]) == {"label", "sigma_abs", "results"}
         blob = json.dumps(data)
         again = RmssReport.from_dict(json.loads(blob))
         assert json.dumps(again.to_dict()) == blob
         assert np.array_equal(again.dispatches(3)[0], report.dispatches(3)[0])
+
+    def test_dispatch_directions_are_exact_little_endian_float64(self, case14_solar):
+        params = StochasticParameterSet.from_case(case14_solar)
+        report = run_rmss(case14_solar, params, sigma_c="propagated")
+        text = report.to_dict()["dispatch_directions"]
+        raw = base64.b64decode(text)
+        want = report.dispatch_directions
+        assert np.frombuffer(raw, dtype="<f8").tobytes() == want.astype("<f8").tobytes()
+        got = RmssReport.from_dict(json.loads(json.dumps(report.to_dict()))).dispatch_directions
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_write_json_parses_back_equal(self, case14_solar, tmp_path):
         params = StochasticParameterSet.from_case(case14_solar)
@@ -424,6 +435,11 @@ class TestRunRmss:
         lambda d: d.pop("schema"),
         lambda d: d.update(schema=1),
         lambda d: d.update(schema=2),
+        lambda d: d.update(schema=3, dispatch_directions=[[0.0, 1.0, 2.0]] * 9),
+        lambda d: d.update(dispatch_directions=d["dispatch_directions"][:-12]),  # 9 bytes short
+        lambda d: d.update(dispatch_directions=d["dispatch_directions"][:-32]),  # a row short
+        lambda d: d.update(dispatch_directions="*" + d["dispatch_directions"][1:]),
+        lambda d: d.update(dispatch_directions=[[0.0, 1.0, 2.0]] * 9),  # schema-3 layout
         lambda d: d["violations"].pop("v_max"),
         lambda d: d["violations"].update(worst_violator=-1),
         lambda d: d.pop("dispatch_directions"),
