@@ -1,0 +1,101 @@
+"""Check that two source trees of rmss compute bitwise the same analysis.
+
+Usage: python scripts/bitwise_compare.py OLD_SRC NEW_SRC
+
+Each tree (the directory holding the ``rmss`` package, e.g. ``src``) is
+imported in its own subprocess, which writes every compared value to a
+pickle; the script then reports each value that differs. Compared on
+case14 'all-solar', case118 'all' and case118 'all-renewable' at a 2%
+parameter spread:
+
+- ``run_rmss(...).to_dict()`` without ``runtime_s``, with the propagated
+  metric sigma and with the default sweep;
+- ``finite_difference_sensitivities`` values;
+- every field of ``PowerFlowEngine.chord_solve`` on 64 sampled rows at
+  1x, 10x and 30x the spread.
+
+Meant for refactors that must not change a bit of the results.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+
+CASES = [("case14_stoch", "all-solar"), ("case118_stoch", "all"), ("case118_stoch", "all-renewable")]
+SPREADS = (1, 10, 30)
+CHORD_FIELDS = ("v", "q_pv", "converged", "iterations", "history")
+
+
+def dump(path: str) -> None:
+    """Write every compared value of the importable ``rmss`` to ``path``."""
+    import numpy as np
+
+    import rmss
+    from rmss import cases
+
+    out = {}
+    for name, selector in CASES:
+        case = rmss.tag_essential(rmss.parse_case(cases.case_path(name)), selector)
+        key = f"{name}/{selector}"
+        params = rmss.StochasticParameterSet.from_case(case, sigma_frac=0.02)
+        spec = rmss.default_metric_spec(case)
+        for sigma_c in ("propagated", None):
+            report = rmss.run_rmss(case, params, spec, sigma_c=sigma_c).to_dict()
+            del report["runtime_s"]
+            out[f"{key}/run_rmss/{sigma_c}"] = json.dumps(report, sort_keys=True)
+        engine = rmss.PowerFlowEngine(case)
+        base = params.apply(case, params.means)
+        sol = rmss.solve_power_flow(engine, injections=base)
+        out[f"{key}/fd"] = rmss.finite_difference_sensitivities(engine, sol, params, spec).values
+        for k in SPREADS:
+            wide = rmss.StochasticParameterSet.from_case(case, sigma_frac=0.02 * k)
+            p, q = params.injections(case, rmss.sample_parameters(wide, 64, seed=3).values)
+            got = engine.chord_solve(p, q, sol, base)
+            for field in CHORD_FIELDS:
+                out[f"{key}/chord/{k}x/{field}"] = np.asarray(getattr(got, field))
+            out[f"{key}/chord/{k}x/failed"] = int((~got.converged).sum())
+    with open(path, "wb") as fh:
+        pickle.dump(out, fh)
+
+
+def _run(src: str, path: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    subprocess.run([sys.executable, __file__, "--dump", path], env=env, check=True)
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
+def main(old_src: str, new_src: str) -> int:
+    import numpy as np
+
+    with tempfile.TemporaryDirectory() as tmp:
+        old = _run(old_src, os.path.join(tmp, "old.pkl"))
+        new = _run(new_src, os.path.join(tmp, "new.pkl"))
+    differ = sorted(set(old) ^ set(new))
+    for key in sorted(set(old) & set(new)):
+        a, b = old[key], new[key]
+        same = (
+            np.array_equal(a, b, equal_nan=a.dtype.kind in "fc")
+            if isinstance(a, np.ndarray)
+            else a == b
+        )
+        if not same:
+            differ.append(key)
+    for key in differ:
+        print(f"DIFFERS: {key}")
+    failed = {k: v for k, v in new.items() if k.endswith("/failed")}
+    print(f"{len(old)} values compared, {len(differ)} differ; rows failing after the "
+          f"Newton hand-off: {failed}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "--dump":
+        dump(sys.argv[2])
+    else:
+        sys.exit(main(sys.argv[1], sys.argv[2]))

@@ -32,8 +32,6 @@ from .montecarlo import (
 from .parameters import Axis, ParameterEntry, StochasticParameterSet
 from .powerflow import (
     AdmittanceMatrix,
-    Metric,
-    MetricKind,
     MetricSpec,
     NewtonOptions,
     PowerFlowEngine,
@@ -71,8 +69,6 @@ __all__ = [
     "GridCase",
     "Load",
     "McReport",
-    "Metric",
-    "MetricKind",
     "MetricSpec",
     "NewtonOptions",
     "ParameterEntry",

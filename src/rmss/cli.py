@@ -1,7 +1,8 @@
 """Command-line front end for the risk-managed steady-state pipeline.
 
 Exit codes: 0 success, 2 solver failure, 3 bad configuration or input,
-including a command line that does not parse. All report files are
+including a command line that does not parse; an error's base class in
+:mod:`rmss.exceptions` decides its code. All report files are
 JSON/CSV written atomically, and every run leaves a manifest echoing the
 resolved configuration (with ``mc``'s seed) and versions.
 """
@@ -18,25 +19,7 @@ import click
 import numpy as np
 
 from . import cases
-from .exceptions import (
-    AllSamplesFailed,
-    ConfigError,
-    DegenerateDirection,
-    DimensionMismatch,
-    EmptySelection,
-    ExcessiveFailureRate,
-    InvalidProbability,
-    JacobianSingular,
-    MissingLimits,
-    ModelEvaluationError,
-    NonConvergence,
-    NotConverged,
-    NotPSD,
-    ParseError,
-    SchemaError,
-    TopologyError,
-    ZeroStep,
-)
+from .exceptions import ConfigError, InputError, NonConvergence, SolverError
 from .matpower import parse_case
 from .model import GridCase, tag_essential, validate_case
 from .montecarlo import McReport, mae_compare, run_monte_carlo
@@ -51,43 +34,10 @@ from .reportio import (
 from .sensitivity import hybrid_sensitivities
 from .worstcase import ABSOLUTE, FRACTION, PROPAGATED, RmssReport, SweepGrid, run_rmss
 
-EXIT_SOLVER = 2
-EXIT_CONFIG = 3
-
-_SOLVER_ERRORS = (
-    NonConvergence,
-    JacobianSingular,
-    AllSamplesFailed,
-    NotConverged,
-    ExcessiveFailureRate,
-    ModelEvaluationError,
-    DegenerateDirection,
-)
-_CONFIG_ERRORS = (
-    ConfigError,
-    ParseError,
-    SchemaError,
-    TopologyError,
-    EmptySelection,
-    NotPSD,
-    InvalidProbability,
-    ZeroStep,
-    MissingLimits,
-    DimensionMismatch,
-)
-
 
 def _manifest_config(**resolved) -> dict:
     """The invoking command's options, echoed into its manifest, updated with ``resolved``."""
     return {**click.get_current_context().params, **resolved}
-
-
-def _guarded(body):
-    try:
-        body()
-    except _SOLVER_ERRORS + _CONFIG_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SOLVER if isinstance(exc, _SOLVER_ERRORS) else EXIT_CONFIG)
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -253,24 +203,31 @@ def _input_options(command):
 
 
 class _Group(click.Group):
-    """Click's command group, but a usage error exits EXIT_CONFIG, not click's 2 (EXIT_SOLVER)."""
+    """Click's command group, but each error exits with the code its class decides.
+
+    A usage error exits as an :class:`InputError`, not with click's 2 (a
+    :class:`SolverError`'s); a package error prints ``error: ...``.
+    """
 
     def make_context(self, *args, **kwargs):
-        with _usage_errors_exit_config():
+        with _exit_codes():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _usage_errors_exit_config():
+        with _exit_codes():
             return super().invoke(ctx)
 
 
 @contextmanager
-def _usage_errors_exit_config():
+def _exit_codes():
     try:
         yield
     except click.UsageError as exc:
-        exc.exit_code = EXIT_CONFIG  # this error only; the class keeps click's 2
+        exc.exit_code = InputError.exit_code  # this error only; the class keeps click's 2
         raise
+    except (SolverError, InputError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(exc.exit_code)
 
 
 @click.group(cls=_Group)
@@ -290,65 +247,55 @@ def main():
 def cmd_rmss(case, essential, axes, sigma_p, correlation, metrics, rho, sigma_c, sweep, limits,
              out):
     """Run the full risk-managed analysis and write its report files."""
-
-    def body():
-        config = _manifest_config()
-        out_dir = _out_dir(out)
-        grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
-        report = run_rmss(
-            grid, params, spec, rho=rho, sigma_c=_resolve_sigma_c(sigma_c, sweep),
-            limits=_resolve_limits(limits),
-        )
-        write_json(out_dir / "rmss_report.json", report.to_dict())
-        write_violations_csv(out_dir / "violations.csv", report)
-        write_worst_violator_csv(out_dir / "worst_violator.csv", report)
-        write_manifest(out_dir / "run_manifest.json", "run", config)
-        total = sum(p.ub_total + p.lb_total for p in report.violations.points)
-        click.echo(
-            f"{len(report.metric_buses)} metrics x {len(report.points)} sigma point(s), "
-            f"{total} violation(s), worst violator: {report.violations.worst_violator}, "
-            f"runtime {report.runtime_s:.3f}s"
-        )
-        click.echo(f"reports written to {out_dir}")
-
-    _guarded(body)
+    config = _manifest_config()
+    out_dir = _out_dir(out)
+    grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
+    report = run_rmss(
+        grid, params, spec, rho=rho, sigma_c=_resolve_sigma_c(sigma_c, sweep),
+        limits=_resolve_limits(limits),
+    )
+    write_json(out_dir / "rmss_report.json", report.to_dict())
+    write_violations_csv(out_dir / "violations.csv", report)
+    write_worst_violator_csv(out_dir / "worst_violator.csv", report)
+    write_manifest(out_dir / "run_manifest.json", "run", config)
+    total = sum(p.ub_total + p.lb_total for p in report.violations.points)
+    click.echo(
+        f"{len(report.metric_buses)} metrics x {len(report.points)} sigma point(s), "
+        f"{total} violation(s), worst violator: {report.violations.worst_violator}, "
+        f"runtime {report.runtime_s:.3f}s"
+    )
+    click.echo(f"reports written to {out_dir}")
 
 
 @main.command("mc")
 @_input_options
-@click.option("--samples", required=True, type=int)
+@click.option("--samples", required=True, type=click.IntRange(min=1))
 @click.option("--seed", default=None, type=int, help="Falls back to RMSS_SEED, then 0.")
-@click.option("--workers", default=1, show_default=True)
+@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--sample-csv", default=None,
               help="Also dump every sample's metric values to this CSV.")
 @click.option("--out", default=".", show_default=True)
 def cmd_mc(case, essential, axes, sigma_p, correlation, metrics, samples, seed, workers,
            sample_csv, out):
     """Monte Carlo reference run; records wall-clock timing for speedups."""
-
-    def body():
-        if samples <= 0:
-            raise ConfigError(f"--samples must be positive, got {samples}")
-        config = _manifest_config(seed=_resolve_seed(seed))
-        out_dir = _out_dir(out)
-        if sample_csv is not None:
-            _out_dir(Path(sample_csv).parent)
-        grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
-        report = run_monte_carlo(
-            grid, params, spec, n=samples, seed=config["seed"], workers=workers,
-            keep_samples=sample_csv is not None,
-        )
-        if sample_csv is not None:
-            report.samples_to_csv(sample_csv)
-        write_json(out_dir / "mc_report.json", report.to_dict())
-        write_manifest(out_dir / "mc_manifest.json", "mc", config)
-        click.echo(
-            f"{report.n_samples} samples ({report.n_failed} failed) in "
-            f"{report.total_runtime_s:.2f}s ({report.per_solve_mean_s * 1e3:.2f} ms/solve)"
-        )
-        click.echo(f"report written to {out_dir / 'mc_report.json'}")
-
-    _guarded(body)
+    config = _manifest_config(seed=_resolve_seed(seed))
+    out_dir = _out_dir(out)
+    if sample_csv is not None:
+        _out_dir(Path(sample_csv).parent)
+    grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
+    report = run_monte_carlo(
+        grid, params, spec, n=samples, seed=config["seed"], workers=workers,
+        keep_samples=sample_csv is not None,
+    )
+    if sample_csv is not None:
+        report.samples_to_csv(sample_csv)
+    write_json(out_dir / "mc_report.json", report.to_dict())
+    write_manifest(out_dir / "mc_manifest.json", "mc", config)
+    click.echo(
+        f"{report.n_samples} samples ({report.n_failed} failed) in "
+        f"{report.total_runtime_s:.2f}s ({report.per_solve_mean_s * 1e3:.2f} ms/solve)"
+    )
+    click.echo(f"report written to {out_dir / 'mc_report.json'}")
 
 
 def _read_report(path: Path) -> dict:
@@ -366,19 +313,15 @@ def _read_report(path: Path) -> dict:
 @click.option("--out", default=".", show_default=True)
 def cmd_compare(rmss_report, mc_report, out):
     """Mean-absolute-error table and speedup between the two report files."""
-
-    def body():
-        rmss = RmssReport.from_dict(_read_report(Path(rmss_report)))
-        mc = McReport.from_dict(_read_report(Path(mc_report)))
-        comp = mae_compare(rmss, mc)
-        out_dir = _out_dir(out)
-        write_json(out_dir / "comparison.json", comp.to_dict())
-        click.echo("MAE (%):")
-        for key, value in comp.mae_pct.items():
-            click.echo(f"  {key}  {value:.4f}")
-        click.echo(f"speedup: {comp.speedup:.1f}x (sigma point: {comp.sigma_label})")
-
-    _guarded(body)
+    rmss = RmssReport.from_dict(_read_report(Path(rmss_report)))
+    mc = McReport.from_dict(_read_report(Path(mc_report)))
+    comp = mae_compare(rmss, mc)
+    out_dir = _out_dir(out)
+    write_json(out_dir / "comparison.json", comp.to_dict())
+    click.echo("MAE (%):")
+    for key, value in comp.mae_pct.items():
+        click.echo(f"  {key}  {value:.4f}")
+    click.echo(f"speedup: {comp.speedup:.1f}x (sigma point: {comp.sigma_label})")
 
 
 @main.command("sensitivity")
@@ -386,36 +329,28 @@ def cmd_compare(rmss_report, mc_report, out):
 @click.option("--out", default="lambda.csv", show_default=True)
 def cmd_sensitivity(case, essential, axes, sigma_p, correlation, metrics, out):
     """Dump the metric/parameter sensitivity matrix as CSV."""
-
-    def body():
-        _out_dir(Path(out).parent)
-        grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
-        engine = PowerFlowEngine(grid)
-        sol = solve_power_flow(engine, injections=params.apply(grid, params.means))
-        if not sol.converged:
-            raise NonConvergence(
-                f"power flow did not converge (history: {list(sol.mismatch_history)})",
-                solution=sol,
-            )
-        sens = hybrid_sensitivities(engine, sol, params, spec)
-        sens.to_csv(out)
-        click.echo(f"{len(sens.metric_buses)}x{len(sens.parameter_labels)} matrix "
-                   f"written to {out}")
-
-    _guarded(body)
+    _out_dir(Path(out).parent)
+    grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
+    engine = PowerFlowEngine(grid)
+    sol = solve_power_flow(engine, injections=params.apply(grid, params.means))
+    if not sol.converged:
+        raise NonConvergence(
+            f"power flow did not converge (history: {list(sol.mismatch_history)})",
+            solution=sol,
+        )
+    sens = hybrid_sensitivities(engine, sol, params, spec)
+    sens.to_csv(out)
+    click.echo(f"{len(sens.metric_buses)}x{len(sens.parameter_labels)} matrix "
+               f"written to {out}")
 
 
 @main.command("validate")
 @click.option("--case", required=True)
 def cmd_validate(case):
     """Check a case file against the model invariants (report only)."""
-
-    def body():
-        grid = parse_case(_resolve_case_path(case))
-        report = validate_case(grid)
-        click.echo(str(report))
-
-    _guarded(body)
+    grid = parse_case(_resolve_case_path(case))
+    report = validate_case(grid)
+    click.echo(str(report))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,28 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Every error derives from one of two bases, and the base's ``exit_code`` is
+the command-line exit code the error gives: a :class:`SolverError` exits 2,
+an :class:`InputError` (bad configuration or input) exits 3.
+"""
 
 
 class RmssError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(RmssError):
+class SolverError(RmssError):
+    """A computation on valid input failed (CLI exit code 2)."""
+
+    exit_code = 2
+
+
+class InputError(RmssError):
+    """Invalid configuration or input (CLI exit code 3)."""
+
+    exit_code = 3
+
+
+class ParseError(InputError):
     """Case file is syntactically malformed."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -15,19 +32,19 @@ class ParseError(RmssError):
         self.line = line
 
 
-class SchemaError(RmssError):
+class SchemaError(InputError):
     """A required table or column is missing from the case file."""
 
 
-class TopologyError(RmssError):
+class TopologyError(InputError):
     """Network references are inconsistent (dangling bus, bad slack count)."""
 
 
-class EmptySelection(RmssError):
+class EmptySelection(InputError):
     """An essential-component selector matched nothing."""
 
 
-class NonConvergence(RmssError):
+class NonConvergence(SolverError):
     """A power flow required by the pipeline failed to converge."""
 
     def __init__(self, message: str, solution=None):
@@ -35,23 +52,23 @@ class NonConvergence(RmssError):
         self.solution = solution
 
 
-class JacobianSingular(RmssError):
+class JacobianSingular(SolverError):
     """Factorization of the network Jacobian failed."""
 
 
-class NotConverged(RmssError):
+class NotConverged(SolverError):
     """Operation requires a converged power-flow solution."""
 
 
-class UnknownBus(RmssError):
+class UnknownBus(InputError):
     """A referenced bus id does not exist in the case."""
 
 
-class ZeroStep(RmssError):
+class ZeroStep(InputError):
     """Finite-difference step must be positive."""
 
 
-class ModelEvaluationError(RmssError):
+class ModelEvaluationError(SolverError):
     """A sampled model evaluation failed; carries the sample index."""
 
     def __init__(self, message: str, sample_index: int | None = None):
@@ -61,36 +78,36 @@ class ModelEvaluationError(RmssError):
         self.sample_index = sample_index
 
 
-class InvalidProbability(RmssError):
+class InvalidProbability(InputError):
     """Confidence level must lie strictly between 0 and 1."""
 
 
-class DegenerateDirection(RmssError):
+class DegenerateDirection(SolverError):
     """Metric is insensitive to every varying parameter (lambda' Sigma lambda ~ 0)."""
 
 
-class MissingLimits(RmssError):
+class MissingLimits(InputError):
     """A metric bus has no voltage limits to count violations against."""
 
 
-class NotPSD(RmssError):
+class NotPSD(InputError):
     """Covariance matrix is not positive semidefinite."""
 
 
-class AllSamplesFailed(RmssError):
+class AllSamplesFailed(SolverError):
     """Every Monte Carlo sample failed to converge."""
 
 
-class ExcessiveFailureRate(RmssError):
+class ExcessiveFailureRate(SolverError):
     """Monte Carlo failure rate too high for a representative comparison."""
 
 
-class DimensionMismatch(RmssError):
+class DimensionMismatch(InputError):
     """Two reports do not share metric/parameter ordering."""
 
 
-class ConfigError(RmssError):
-    """Invalid run configuration (CLI exit code 3)."""
+class ConfigError(InputError):
+    """Invalid run configuration."""
 
 
 class SingularityWarning(UserWarning):

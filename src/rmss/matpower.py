@@ -101,10 +101,8 @@ def _require_cols(rows: list[tuple[int, list[float]]], cols: dict[str, int], tab
             )
 
 
-def parse_case(path: str | Path, format: str = "matpower-m") -> GridCase:
-    """Parse a case file into a :class:`GridCase`, converting MW/MVAr to per-unit."""
-    if format != "matpower-m":
-        raise ValueError(f"unsupported case format {format!r}")
+def parse_case(path: str | Path) -> GridCase:
+    """Parse a MATPOWER .m case file into a :class:`GridCase`, converting MW/MVAr to per-unit."""
     path = Path(path)
     raw = path.read_text()
     text = "\n".join(_strip_comment(l) for l in raw.split("\n"))

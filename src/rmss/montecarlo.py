@@ -31,7 +31,6 @@ from .parameters import StochasticParameterSet
 # perfbench/layers.py traces them under this module.
 from .powerflow import (  # noqa: F401
     MetricSpec,
-    NewtonOptions,
     PowerFlowEngine,
     PowerFlowSolution,
     build_admittance,
@@ -86,7 +85,6 @@ def _solve_rows(
     p: np.ndarray,
     q: np.ndarray,
     start: PowerFlowSolution,
-    options: NewtonOptions,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Converged flags, voltages and iterations of a block solved one row at a time.
 
@@ -98,7 +96,7 @@ def _solve_rows(
     iterations = np.full(len(p), -1)
     for r in range(len(p)):
         try:
-            row = engine.solve(p[r : r + 1], q[r : r + 1], start=start, options=options)
+            row = engine.solve(p[r : r + 1], q[r : r + 1], start=start)
         except JacobianSingular:
             continue
         ok[r], v[r], iterations[r] = row.converged[0], row.v[0], row.iterations[0]
@@ -111,7 +109,6 @@ def _solve_samples(
     spec: MetricSpec,
     samples: np.ndarray,
     start: PowerFlowSolution,
-    options: NewtonOptions,
 ) -> _Solved:
     """Solve consecutive samples block by block; injections and states exist per block only.
 
@@ -131,10 +128,10 @@ def _solve_samples(
         block = slice(lo, lo + BLOCK_SIZE)
         p, q = params.injections(engine.case, samples[block])
         try:
-            result = engine.solve(p, q, start=start, options=options)
+            result = engine.solve(p, q, start=start)
             ok, v, iterations = result.converged, result.v, result.iterations
         except JacobianSingular:
-            ok, v, iterations = _solve_rows(engine, p, q, start, options)
+            ok, v, iterations = _solve_rows(engine, p, q, start)
         out.metrics[block][ok] = np.abs(v[ok][:, positions])
         out.converged[block] = ok
         out.iterations[block] = iterations
@@ -278,7 +275,6 @@ def run_monte_carlo(
     n: int,
     seed: int,
     workers: int = 1,
-    options: NewtonOptions | None = None,
     keep_samples: bool = False,
 ) -> McReport:
     """One deterministic solve per sample; statistics over converged solves.
@@ -287,17 +283,16 @@ def run_monte_carlo(
     merely decides which process solves each fixed block of samples.
     """
     t0 = time.perf_counter()
-    opts = options or NewtonOptions()
 
     engine = PowerFlowEngine(case)
-    nominal = solve_power_flow(engine, opts, injections=params.apply(case, params.means))
+    nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
     if not nominal.converged:
         raise AllSamplesFailed("nominal power flow did not converge")
 
     batch = sample_parameters(params, n, seed)
     n_blocks = -(-n // BLOCK_SIZE)
     jobs = min(workers, n_blocks)
-    solve = partial(_solve_samples, engine, params, spec, start=nominal, options=opts)
+    solve = partial(_solve_samples, engine, params, spec, start=nominal)
     if jobs <= 1:
         parts = [solve(batch.values)]
     else:

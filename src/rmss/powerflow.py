@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy import sparse
@@ -93,7 +92,6 @@ def build_admittance(case: GridCase) -> AdmittanceMatrix:
 class NewtonOptions:
     tolerance: float = 1e-8  # pu power mismatch
     max_iter: int = 50
-    flat_start: bool = True  # 1.0 at angle 0; a supplied start solution overrides
 
 
 @dataclass(eq=False)
@@ -387,44 +385,17 @@ class PowerFlowEngine:
         """
         opts = options or NewtonOptions()
         p, q = np.atleast_2d(p), np.atleast_2d(q)
-        x = self._initial_states(q, start)
         lu = self._factorize(self._jacobian_data_at(start, *base))
-        history = np.full((len(x), opts.max_iter + 2), np.nan)
-        iterations = np.zeros(len(x), dtype=int)
-        converged = np.zeros(len(x), dtype=bool)
-        rows = np.arange(len(x))  # the rows still stepping
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for it in range(CHORD_STEPS + 1):
-                e, f, q_eff, v, i_net = self._terms(x[rows], q[rows])
-                mismatch = self._mismatch(v, i_net, p[rows], q[rows])
-                history[rows, it] = mismatch
-                ok = mismatch <= opts.tolerance
-                converged[rows[ok]] = True
-                iterations[rows[ok]] = it
-                go = ~ok & (mismatch <= _DIVERGENCE_LIMIT)  # False for NaN too
-                if it == CHORD_STEPS or not go.any():
-                    break
-                rows, e, f, q_eff, i_net = rows[go], e[go], f[go], q_eff[go], i_net[go]
-                rhs = -self._residual(e, f, q_eff, i_net, p[rows])
-                x[rows] = self._pin_slack(x[rows] + lu.solve(rhs.T).T)
-        v = x[:, 0 : 2 * self.n : 2] + 1j * x[:, 1 : 2 * self.n : 2]
-        q_pv = x[:, 2 * self.n :]
-        unsettled = np.flatnonzero(~converged)
+        result = self._lockstep(
+            self._initial_states(q, start), p, q,
+            lambda e, f, q_eff, p, rhs: lu.solve(rhs.T).T, CHORD_STEPS, opts,
+        )
+        unsettled = np.flatnonzero(~result.converged)
         if len(unsettled):
             newton = self.solve(p[unsettled], q[unsettled], start, opts)
-            v[unsettled], q_pv[unsettled] = newton.v, newton.q_pv
-            converged[unsettled] = newton.converged
-            iterations[unsettled] = newton.iterations
-            history[unsettled] = newton.history
-        return BatchSolution(
-            v=v,
-            q_pv=q_pv,
-            bus_ids=self.bus_ids,
-            pv_ids=tuple(self.bus_ids[i] for i in self.pv),
-            converged=converged,
-            iterations=iterations,
-            history=history,
-        )
+            for name in ("v", "q_pv", "converged", "iterations", "history"):
+                getattr(result, name)[unsettled] = getattr(newton, name)
+        return result
 
     def _pin_slack(self, x: np.ndarray) -> np.ndarray:
         """Hold the slack voltage at its setpoint bit-exactly."""
@@ -447,14 +418,27 @@ class PowerFlowEngine:
         """
         opts = options or NewtonOptions()
         p, q = np.atleast_2d(p), np.atleast_2d(q)
-        x = self._initial_states(q, start)
+        return self._lockstep(
+            self._initial_states(q, start), p, q,
+            lambda e, f, q_eff, p, rhs: self._steps(self._jacobian_data(e, f, q_eff, p), rhs),
+            opts.max_iter, opts,
+        )
+
+    def _lockstep(self, x, p, q, step, cap: int, opts: NewtonOptions) -> BatchSolution:
+        """The lockstep iteration of :meth:`solve` and :meth:`chord_solve` from (S, dim) states.
+
+        ``step(e, f, q_eff, p, rhs)`` returns the still-iterating rows' state
+        updates for the right-hand sides -residual; the stop rules are
+        :meth:`solve`'s, with ``cap`` steps in place of ``max_iter``.
+        """
+        # max_iter + 2 wide whatever the cap, so a chord row can take a Newton row's history
         history = np.full((len(x), opts.max_iter + 2), np.nan)
-        iterations = np.full(len(x), opts.max_iter)  # Newton steps each row ran
+        iterations = np.full(len(x), cap)  # steps each row took
         converged = np.zeros(len(x), dtype=bool)
         # The rows still iterating: their indices, states and injections.
         rows, xa, pa, qa = np.arange(len(x)), x, p, q
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for it in range(opts.max_iter + 1):
+            for it in range(cap + 1):
                 e, f, q_eff, v, i_net = self._terms(xa, qa)
                 mismatch = self._mismatch(v, i_net, pa, qa)
                 history[rows, it] = mismatch
@@ -467,11 +451,10 @@ class PowerFlowEngine:
                     keep = ~stop
                     rows, xa, pa, qa = rows[keep], xa[keep], pa[keep], qa[keep]
                     e, f, q_eff, i_net = e[keep], f[keep], q_eff[keep], i_net[keep]
-                if it == opts.max_iter or not len(rows):
+                if it == cap or not len(rows):
                     break
-                data = self._jacobian_data(e, f, q_eff, pa)
                 rhs = -self._residual(e, f, q_eff, i_net, pa)
-                xa = self._pin_slack(xa + self._steps(data, rhs))
+                xa = self._pin_slack(xa + step(e, f, q_eff, pa, rhs))
                 finite = np.isfinite(xa).all(axis=1)
                 if not finite.all():
                     blown = rows[~finite]
@@ -479,7 +462,7 @@ class PowerFlowEngine:
                     iterations[blown] = it + 1
                     x[blown] = xa[~finite]
                     rows, xa, pa, qa = rows[finite], xa[finite], pa[finite], qa[finite]
-        x[rows] = xa  # rows that ran out of iterations
+        x[rows] = xa  # rows that ran out of steps
         return BatchSolution(
             v=x[:, 0 : 2 * self.n : 2] + 1j * x[:, 1 : 2 * self.n : 2],
             q_pv=x[:, 2 * self.n :],
@@ -493,14 +476,14 @@ class PowerFlowEngine:
 
 @dataclass(eq=False)
 class BatchSolution:
-    """Per-row results of one :meth:`PowerFlowEngine.solve` call."""
+    """Per-row results of one :meth:`PowerFlowEngine.solve` or ``chord_solve`` call."""
 
     v: np.ndarray  # (S, n) complex bus voltages, case bus order
     q_pv: np.ndarray  # (S, n_pv) solved net Q at PV buses
     bus_ids: tuple[int, ...]
     pv_ids: tuple[int, ...]
     converged: np.ndarray  # (S,) bool
-    iterations: np.ndarray  # (S,) Newton iterations each row ran
+    iterations: np.ndarray  # (S,) Newton or chord steps each row took
     history: np.ndarray  # (S, max_iter + 2) mismatch per iteration; row k has iterations[k] + 1
 
     def solution(self, k: int) -> PowerFlowSolution:
@@ -553,32 +536,18 @@ def solve_power_flow(
     return engine.solve(p, q, start, options).solution(0)
 
 
-class MetricKind(Enum):
-    BUS_VOLTAGE_MAGNITUDE = "bus_voltage_magnitude"
-
-
-@dataclass(frozen=True)
-class Metric:
-    kind: MetricKind
-    bus: int
-
-
 @dataclass(frozen=True)
 class MetricSpec:
-    """Ordered list of critical performance metrics to track."""
+    """Ordered list of critical performance metrics to track: bus voltage magnitudes."""
 
-    entries: tuple[Metric, ...]
+    buses: tuple[int, ...]
 
     @classmethod
     def voltages_at(cls, bus_ids) -> "MetricSpec":
-        return cls(tuple(Metric(MetricKind.BUS_VOLTAGE_MAGNITUDE, int(b)) for b in bus_ids))
-
-    @property
-    def buses(self) -> tuple[int, ...]:
-        return tuple(m.bus for m in self.entries)
+        return cls(tuple(int(b) for b in bus_ids))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.buses)
 
 
 def default_metric_spec(case: GridCase) -> MetricSpec:
@@ -596,10 +565,10 @@ def default_metric_spec(case: GridCase) -> MetricSpec:
 def metric_positions(bus_ids: tuple[int, ...], spec: MetricSpec) -> np.ndarray:
     """Case-order position of each metric's bus, in spec order."""
     pos = {bus_id: i for i, bus_id in enumerate(bus_ids)}
-    missing = [m.bus for m in spec.entries if m.bus not in pos]
+    missing = [b for b in spec.buses if b not in pos]
     if missing:
         raise UnknownBus(f"metric references unknown bus {missing[0]}")
-    return np.array([pos[m.bus] for m in spec.entries], dtype=int)
+    return np.array([pos[b] for b in spec.buses], dtype=int)
 
 
 def evaluate_metrics(sol: PowerFlowSolution, spec: MetricSpec) -> np.ndarray:

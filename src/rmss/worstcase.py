@@ -34,7 +34,6 @@ from .parameters import StochasticParameterSet
 # traces it under this module.
 from .powerflow import (  # noqa: F401
     MetricSpec,
-    NewtonOptions,
     PowerFlowEngine,
     build_admittance,
     default_metric_spec,
@@ -470,7 +469,6 @@ def run_rmss(
     sigma_c: SweepGrid | float | str | None = None,
     limits: dict[int, tuple[float, float]] | float | str = "case",
     seed: int = 0,
-    options: NewtonOptions | None = None,
 ) -> RmssReport:
     """Full risk-managed analysis: nominal solve, sensitivities, bounds, violations.
 
@@ -486,7 +484,7 @@ def run_rmss(
     z = _quantile(rho)
 
     engine = PowerFlowEngine(case)
-    sol = solve_power_flow(engine, options, injections=params.apply(case, params.means))
+    sol = solve_power_flow(engine, injections=params.apply(case, params.means))
     if not sol.converged:
         raise NonConvergence(
             "nominal power flow did not converge "

@@ -10,6 +10,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from rmss import exceptions
 from rmss.cli import main
 from rmss.montecarlo import BLOCK_SIZE
 from rmss.reportio import atomic_write_text
@@ -235,6 +236,26 @@ def test_mc_zero_samples_exit_3(runner, tmp_path):
         "--out", str(tmp_path),
     ])
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_mc_nonpositive_workers_exit_3(runner, tmp_path, workers):
+    result = runner.invoke(main, [
+        "mc", "--case", "case2", "--essential", "all", "--samples", "20",
+        "--workers", workers, "--out", str(tmp_path),
+    ])
+    assert result.exit_code == 3, result.output
+    assert "Invalid value for '--workers'" in result.output
+    assert not (tmp_path / "mc_report.json").exists()
+
+
+def test_every_error_has_exactly_one_exit_code_base():
+    bases = (exceptions.SolverError, exceptions.InputError)
+    exempt = bases + (exceptions.RmssError, exceptions.SingularityWarning)
+    errors = [obj for obj in vars(exceptions).values() if isinstance(obj, type)]
+    for error in set(errors) - set(exempt):
+        assert sum(issubclass(error, base) for base in bases) == 1, error.__name__
+    assert (exceptions.SolverError.exit_code, exceptions.InputError.exit_code) == (2, 3)
 
 
 def test_mc_same_seed_byte_identical_statistics(runner, tmp_path):

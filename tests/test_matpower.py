@@ -99,11 +99,6 @@ def test_bad_token_is_parse_error_with_line(tmp_path):
         parse_case(write_tmp(tmp_path, bad))
 
 
-def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError, match="format"):
-        parse_case(write_tmp(tmp_path, MINIMAL), format="psse-raw")
-
-
 def test_out_of_service_branch_dropped(tmp_path):
     text = MINIMAL.replace(
         "mpc.branch = [\n  1 2 0.01 0.1 0 0 0 0 0 0 1;",

@@ -340,6 +340,34 @@ class TestEngine:
         assert np.array_equal(got.q_pv, want.q_pv, equal_nan=True)
         assert np.array_equal(got.history, want.history, equal_nan=True)
 
+    @pytest.mark.parametrize("fixture, selector", [("case14", "all-solar"), ("case118", "all")])
+    def test_chord_rows_independent_of_their_block(self, fixture, selector, request):
+        # 10x the 2% spread: on case14 chord steps settle some rows and
+        # Newton gets the others; on case118 'all' some rows fail in Newton
+        case, params = _stochastic(request.getfixturevalue(fixture), selector)
+        engine = PowerFlowEngine(case)
+        base = params.apply(case, params.means)
+        nominal = solve_power_flow(engine, injections=base)
+        wide = StochasticParameterSet.from_case(case, sigma_frac=0.2)
+        p, q = params.injections(case, sample_parameters(wide, 64, seed=3).values)
+
+        handed, solve = [], engine.solve
+
+        def newton(p, q, *args):  # the rows chord_solve hands to full Newton
+            handed.append(len(p))
+            return solve(p, q, *args)
+
+        engine.solve = newton
+        block = engine.chord_solve(p, q, nominal, base)
+        assert len(handed) == 1 and handed[0] > 0
+        assert handed[0] < 64 if fixture == "case14" else not block.converged.all()
+
+        for r in range(64):
+            alone = engine.chord_solve(p[r : r + 1], q[r : r + 1], nominal, base)
+            for name in ("v", "q_pv", "converged", "iterations", "history"):
+                got, want = getattr(block, name)[r], getattr(alone, name)[0]
+                assert np.array_equal(got, want, equal_nan=True), (r, name)
+
     def test_singular_row_in_a_stack_raises_like_its_own_solve(self):
         # p = -B, q = 0 at bus 2 makes the flat-start Jacobian exactly
         # singular; the first row is regular and fixes the column order.
