@@ -31,7 +31,6 @@ from .montecarlo import (
 )
 from .parameters import Axis, ParameterEntry, StochasticParameterSet
 from .powerflow import (
-    AdmittanceMatrix,
     MetricSpec,
     NewtonOptions,
     PowerFlowEngine,
@@ -54,12 +53,10 @@ from .worstcase import (
     ViolationReport,
     count_violations,
     run_rmss,
-    worst_case_metric,
     worst_case_parameters,
 )
 
 __all__ = [
-    "AdmittanceMatrix",
     "Axis",
     "Branch",
     "Bus",
@@ -99,7 +96,6 @@ __all__ = [
     "solve_power_flow",
     "tag_essential",
     "validate_case",
-    "worst_case_metric",
     "worst_case_parameters",
     "write_case",
 ]

@@ -69,13 +69,7 @@ class ZeroStep(InputError):
 
 
 class ModelEvaluationError(SolverError):
-    """A sampled model evaluation failed; carries the sample index."""
-
-    def __init__(self, message: str, sample_index: int | None = None):
-        if sample_index is not None:
-            message = f"sample {sample_index}: {message}"
-        super().__init__(message)
-        self.sample_index = sample_index
+    """A sampled model evaluation failed."""
 
 
 class InvalidProbability(InputError):

@@ -270,7 +270,7 @@ def write_case(case: GridCase, path: str | Path) -> None:
     for br in case.branches:
         lines.append(
             f"  {br.from_bus} {br.to_bus} {br.r!r} {br.x!r} {br.b_shunt!r} "
-            f"0 0 0 {br.tap!r} {math.degrees(br.phase_shift)!r} {1 if br.status else 0};"
+            f"0 0 0 {br.tap!r} {math.degrees(br.phase_shift)!r} 1;"
         )
     lines.append("];")
 

@@ -44,7 +44,6 @@ class Branch:
     b_shunt: float = 0.0  # total line charging, split half per end
     tap: float = 1.0
     phase_shift: float = 0.0  # rad
-    status: bool = True
 
 
 @dataclass(frozen=True)
@@ -80,12 +79,6 @@ class GridCase:
 
     def bus_index(self) -> dict[int, int]:
         return {b.id: i for i, b in enumerate(self.buses)}
-
-    def bus(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise TopologyError(f"no bus with id {bus_id}")
 
     @property
     def slack(self) -> Bus:
@@ -233,9 +226,8 @@ def validate_case(case: GridCase) -> ValidationReport:
             entries.append(ValidationIssue("error", label, "zero series impedance"))
         if br.tap <= 0:
             entries.append(ValidationIssue("error", label, f"tap {br.tap} <= 0"))
-        if br.status:
-            connected.add(br.from_bus)
-            connected.add(br.to_bus)
+        connected.add(br.from_bus)
+        connected.add(br.to_bus)
 
     for b in case.buses:
         if b.id not in connected and len(case.branches) > 0:

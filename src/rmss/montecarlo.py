@@ -22,7 +22,6 @@ from .exceptions import (
     DimensionMismatch,
     ExcessiveFailureRate,
     JacobianSingular,
-    NotPSD,
     SchemaError,
 )
 from .model import GridCase
@@ -38,6 +37,7 @@ from .powerflow import (  # noqa: F401
     metric_positions,
     solve_power_flow,
 )
+from .reportio import atomic_write_text
 from .worstcase import RmssReport
 
 _Z95 = float(ndtri(0.975))
@@ -54,15 +54,12 @@ class SampleBatch:
 
     values: np.ndarray  # (n, d) pu
     seed: int
-    generator: str = "pcg64"
 
 
 def sample_parameters(params: StochasticParameterSet, n: int, seed: int) -> SampleBatch:
     """Draw n joint samples via a symmetric factor of the covariance."""
     if n < 0:
         raise ValueError(f"sample count must be nonnegative, got {n}")
-    if params.distribution != "normal":
-        raise NotPSD(f"unsupported distribution {params.distribution!r}")
     factor = params.factor()
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, len(params)))
@@ -170,9 +167,6 @@ class McReport:
 
     def samples_to_csv(self, path) -> None:
         """Per-sample metric values for external analysis (NaN = failed solve)."""
-        # Imported here: reportio's tempfile import would slow `import rmss`.
-        from .reportio import atomic_write_text
-
         if self.metric_samples is None:
             raise ValueError("run with keep_samples=True to retain per-sample metrics")
         header = "sample," + ",".join(f"bus{b}" for b in self.metric_buses)
@@ -226,10 +220,12 @@ class McReport:
     def from_dict(cls, data: dict) -> "McReport":
         """Rebuild a report written by :meth:`to_dict`; missing fields are a SchemaError.
 
-        The ``diagnostics`` block is optional, so reports written before it
-        existed still load. A report whose intervals are not the sampled
-        percentiles is refused: the worst-case bounds are quantiles, and
-        ``mae_compare`` can score them against quantiles only.
+        So is a metric or parameter array whose length differs from its
+        ``buses`` or ``labels`` list. The ``diagnostics`` block is optional,
+        so reports written before it existed still load. A report whose
+        intervals are not the sampled percentiles is refused: the worst-case
+        bounds are quantiles, and ``mae_compare`` can score them against
+        quantiles only.
         """
         try:
             stats, timing = data["statistics"], data["timing"]
@@ -240,6 +236,15 @@ class McReport:
                     f"Monte Carlo report intervals are {stats['ci_method']!r}, "
                     f"not {CI_PERCENTILE!r} quantiles"
                 )
+            arrays = {}
+            for prefix, block, names in (("metric", metrics, "buses"), ("param", params, "labels")):
+                for key in ("mean", "stdev", "ci_lb", "ci_ub"):
+                    values = np.array(block[key])
+                    if values.shape != (len(block[names]),):
+                        raise SchemaError(
+                            f"Monte Carlo report {prefix} {key} does not match its {names}"
+                        )
+                    arrays[f"{prefix}_{key}"] = values
             return cls(
                 case_name=data["case"],
                 metric_buses=tuple(metrics["buses"]),
@@ -247,14 +252,7 @@ class McReport:
                 n_samples=stats["n_samples"],
                 n_failed=stats["n_failed"],
                 seed=stats["seed"],
-                metric_mean=np.array(metrics["mean"]),
-                metric_stdev=np.array(metrics["stdev"]),
-                metric_ci_lb=np.array(metrics["ci_lb"]),
-                metric_ci_ub=np.array(metrics["ci_ub"]),
-                param_mean=np.array(params["mean"]),
-                param_stdev=np.array(params["stdev"]),
-                param_ci_lb=np.array(params["ci_lb"]),
-                param_ci_ub=np.array(params["ci_ub"]),
+                **arrays,
                 total_runtime_s=timing["total_runtime_s"],
                 per_solve_mean_s=timing["per_solve_mean_s"],
                 per_solve_min_s=timing["per_solve_min_s"],

@@ -50,7 +50,6 @@ def _check_psd(matrix: np.ndarray) -> None:
 class StochasticParameterSet:
     entries: tuple[ParameterEntry, ...]
     sigma: np.ndarray  # d x d covariance, pu^2
-    distribution: str = "normal"
 
     def __post_init__(self):
         sig = np.asarray(self.sigma, dtype=float)

@@ -27,20 +27,8 @@ from .exceptions import (
 from .model import BusKind, GridCase
 
 
-@dataclass(frozen=True)
-class AdmittanceMatrix:
-    """Sparse complex bus admittance matrix in case bus order."""
-
-    y: sparse.csr_matrix
-    bus_ids: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.bus_ids)
-
-
-def build_admittance(case: GridCase) -> AdmittanceMatrix:
-    """Stamp in-service branches and bus shunts into the bus admittance matrix.
+def build_admittance(case: GridCase) -> sparse.csr_matrix:
+    """The CSR bus admittance matrix, in case bus order, of the branches and bus shunts.
 
     Each branch contributes the standard two-port pi-model with an
     off-nominal complex turns ratio tap*exp(j*shift) on the from side; a
@@ -53,8 +41,6 @@ def build_admittance(case: GridCase) -> AdmittanceMatrix:
     cols: list[int] = []
     vals: list[complex] = []
     for br in case.branches:
-        if not br.status:
-            continue
         f, t = idx[br.from_bus], idx[br.to_bus]
         y = 1.0 / complex(br.r, br.x)
         bc = 1j * br.b_shunt / 2.0
@@ -85,7 +71,7 @@ def build_admittance(case: GridCase) -> AdmittanceMatrix:
             SingularityWarning,
             stacklevel=2,
         )
-    return AdmittanceMatrix(y=y_bus, bus_ids=tuple(b.id for b in case.buses))
+    return y_bus
 
 
 @dataclass
@@ -128,7 +114,7 @@ class PowerFlowEngine:
         self.case = case
         self.n = n = len(case.buses)
         self.bus_ids = tuple(b.id for b in case.buses)
-        self.y = build_admittance(case).y
+        self.y = build_admittance(case)
         kinds = [b.kind for b in case.buses]
         if BusKind.SLACK not in kinds:
             raise TopologyError("case has no slack bus")
@@ -519,7 +505,6 @@ def engine_for(case: GridCase | PowerFlowEngine) -> PowerFlowEngine:
 
 def solve_power_flow(
     case: GridCase | PowerFlowEngine,
-    options: NewtonOptions | None = None,
     injections: tuple[np.ndarray, np.ndarray] | None = None,
     start: PowerFlowSolution | None = None,
 ) -> PowerFlowSolution:
@@ -533,7 +518,7 @@ def solve_power_flow(
     """
     engine = engine_for(case)
     p, q = injections if injections is not None else engine.case_injections
-    return engine.solve(p, q, start, options).solution(0)
+    return engine.solve(p, q, start).solution(0)
 
 
 @dataclass(frozen=True)

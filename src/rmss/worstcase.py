@@ -15,7 +15,7 @@ from __future__ import annotations
 import base64
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,8 +51,6 @@ FRACTION = "fraction"  # sigma_c as a fraction of each metric's nominal value
 ABSOLUTE = "pu"  # sigma_c as an absolute pu value shared by all metrics
 PROPAGATED = "propagated"  # sigma_c from first-order propagation of the parameter covariance
 
-SIDES = ("UB", "LB")  # order of the last axis of every bound array
-
 
 def _quantile(rho: float) -> float:
     if not 0.0 < rho < 1.0:
@@ -82,15 +80,6 @@ def _linearization(
     degenerate = variance <= DEGENERATE_TOLERANCE
     keep = ~degenerate
     return variance, degenerate, sig_lam[keep] / variance[keep, None]
-
-
-def worst_case_metric(c_nom: float, sigma_c: float, rho: float, direction: str) -> float:
-    """Quantile bound c_nom +/- z(rho) * sigma_c for direction "UB"/"LB"."""
-    if sigma_c < 0:
-        raise ValueError(f"sigma_c must be nonnegative, got {sigma_c}")
-    if direction not in SIDES:
-        raise ValueError(f"direction must be 'UB' or 'LB', got {direction!r}")
-    return float(_bounds(c_nom, sigma_c, _quantile(rho))[SIDES.index(direction)])
 
 
 def worst_case_parameters(
@@ -146,50 +135,15 @@ class SweepPoint:
         }
 
 
-@dataclass(frozen=True)
-class ViolationRecord:
-    sigma: float | str  # sweep point label
-    bus: int
-    side: str  # "UB" | "LB"
-    value: float
-    limit: float
-    margin: float  # overshoot beyond the limit, pu
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "bus": self.bus,
-            "side": self.side,
-            "value": self.value,
-            "limit": self.limit,
-            "margin": self.margin,
-        }
-
-
 @dataclass(eq=False)
 class PointViolations:
-    """Violation tallies at one sweep point; its records are derived on demand."""
+    """Violation tallies at one sweep point."""
 
     sigma_label: float | str
     ub_total: int
     lb_total: int
     per_bus: dict[int, int]
     worst_violator: int | None
-    metric_buses: tuple[int, ...] = field(repr=False)
-    bounds: np.ndarray = field(repr=False)  # (m, 2) [c_wc_ub, c_wc_lb] at this point
-    limit: np.ndarray = field(repr=False)  # (m, 2) [v_max, v_min], aligned with the bounds
-
-    @property
-    def records(self) -> tuple[ViolationRecord, ...]:
-        """One record per excursion: metrics in order, the UB excursion before the LB one."""
-        margins = _overshoot(self.bounds, self.limit)
-        return tuple(
-            ViolationRecord(
-                self.sigma_label, self.metric_buses[i], SIDES[s],
-                float(self.bounds[i, s]), float(self.limit[i, s]), float(margins[i, s]),
-            )
-            for i, s in zip(*np.nonzero(margins > 0))
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -269,10 +223,8 @@ def count_violations(
     """Tally bound excursions beyond per-metric voltage limits.
 
     ``bounds`` has shape (P, m, 2): one [c_wc_ub, c_wc_lb] row per metric at
-    each of the P sweep points named by ``labels``. Each point's records
-    list its metrics in order, the UB excursion before the LB one.
+    each of the P sweep points named by ``labels``.
     """
-    buses = tuple(buses)
     limit = np.stack([v_max, v_min], axis=-1)  # (m, 2), aligned with the bound sides
     hits = _overshoot(bounds, limit) > 0
     bus_ids, bus_of = np.unique(np.asarray(buses, dtype=int), return_inverse=True)
@@ -284,8 +236,8 @@ def count_violations(
     side_totals = hits.sum(axis=1).tolist()  # (P, 2) UB and LB counts
 
     points = tuple(
-        PointViolations(label, ub, lb, *_tallies(bus_ids, counts), buses, bounds[k], limit)
-        for k, (label, (ub, lb), counts) in enumerate(zip(labels, side_totals, per_point))
+        PointViolations(label, ub, lb, *_tallies(bus_ids, counts))
+        for label, (ub, lb), counts in zip(labels, side_totals, per_point)
     )
     totals = _tallies(bus_ids, per_point.sum(axis=0))
     return ViolationReport(points, *totals, v_min=limit[:, 1], v_max=limit[:, 0])
@@ -385,17 +337,22 @@ class RmssReport:
             )
             v_min = np.array(stored["v_min"], dtype=float)
             v_max = np.array(stored["v_max"], dtype=float)
+            c_nom = np.array(data["c_nom"], dtype=float)
+            means = np.array(params["means"], dtype=float)
+            stdevs = np.array(params["stdevs"], dtype=float)
             m = len(metric_buses)
             if (
                 degenerate.shape != (m,)
+                or c_nom.shape != (m,)
                 or len(directions) != m - degenerate.sum()
-                or any(p.results.shape != (m, 2) for p in points)
+                or any(p.results.shape != (m, 2) or p.sigma_abs.shape != (m,) for p in points)
                 or v_min.shape != (m,)
                 or v_max.shape != (m,)
             ):
                 raise SchemaError(f"rmss report arrays do not match its {m} metric buses")
-            # The records are not stored: they are derived from the bounds and
-            # the limits, which must also give the stored tallies.
+            if means.shape != (d,) or stdevs.shape != (d,):
+                raise SchemaError(f"rmss report parameter arrays do not match its {d} labels")
+            # The tallies the bounds and limits give must be the stored ones.
             bounds = np.array([p.results for p in points]).reshape(len(points), m, 2)
             violations = count_violations(
                 [p.label for p in points], metric_buses, bounds, v_min, v_max
@@ -407,9 +364,9 @@ class RmssReport:
                 rho=data["rho"],
                 metric_buses=metric_buses,
                 parameter_labels=tuple(params["labels"]),
-                parameter_means=np.array(params["means"], dtype=float),
-                parameter_stdevs=np.array(params["stdevs"], dtype=float),
-                c_nom=np.array(data["c_nom"], dtype=float),
+                parameter_means=means,
+                parameter_stdevs=stdevs,
+                c_nom=c_nom,
                 degenerate=degenerate,
                 dispatch_directions=directions,
                 sigma_mode=data["sigma_mode"],

@@ -35,12 +35,17 @@ def report_pass(criterion: int, detail: str) -> None:
     print(f"[criterion {criterion}] PASS - {detail}", flush=True)
 
 
-@pytest.fixture(scope="module")
-def table_one_setup():
-    """Shared 14-bus protocol run: 3 essential solar units at 2% stdev."""
+def table_one_inputs():
+    """The 14-bus protocol inputs: 3 essential solar units at 2% stdev, default metrics."""
     case = tag_essential(parse_case(case_path("case14_stoch")), "all-solar")
     params = StochasticParameterSet.from_case(case, sigma_frac=0.02)
-    spec = default_metric_spec(case)
+    return case, params, default_metric_spec(case)
+
+
+@pytest.fixture(scope="module")
+def table_one_setup():
+    """Shared 14-bus protocol run."""
+    case, params, spec = table_one_inputs()
     t0 = time.perf_counter()
     rmss = run_rmss(case, params, spec, sigma_c="propagated")
     mc = run_monte_carlo(case, params, spec, n=10_000, seed=2024, workers=1)
@@ -144,10 +149,17 @@ def test_criterion_4_speedup_over_monte_carlo(table_one_setup):
     rmss, mc, comp, _ = table_one_setup
     assert mc.workers == 1
     assert comp.speedup >= 50.0, f"speedup {comp.speedup:.1f}x below 50x"
+    # Not gated: the fixture's run_rmss call is cold and varies by a third
+    # between runs; a median over warm calls shows smaller changes.
+    case, params, spec = table_one_inputs()
+    warm = float(np.median([
+        run_rmss(case, params, spec, sigma_c="propagated").runtime_s for _ in range(20)
+    ]))
     report_pass(
         4,
         f"end-to-end {rmss.runtime_s:.3f}s vs 10k-sample MC {mc.total_runtime_s:.1f}s "
-        f"= {comp.speedup:.0f}x",
+        f"= {comp.speedup:.0f}x; median of 20 warm calls {1e3 * warm:.1f} ms "
+        f"= {mc.total_runtime_s / warm:.0f}x",
     )
 
 

@@ -422,6 +422,37 @@ def test_compare_refuses_mean_ci_mc_report(runner, tmp_path):
     assert "'mean'" in result.output
 
 
+@pytest.fixture(scope="module")
+def case14_reports(tmp_path_factory):
+    """The JSON text of the rmss and mc reports of case14 all-solar."""
+    out = tmp_path_factory.mktemp("case14_reports")
+    for command in (["run", "--sigma-c", "auto"], ["mc", "--samples", "100"]):
+        result = CliRunner().invoke(main, command + [
+            "--case", "case14_stoch", "--essential", "all-solar", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+    return {name: (out / f"{name}_report.json").read_text() for name in ("rmss", "mc")}
+
+
+@pytest.mark.parametrize("report, path", [
+    ("mc", ("statistics", "metrics", "ci_ub")),
+    ("mc", ("statistics", "parameters", "ci_ub")),
+    ("rmss", ("parameters", "means")),
+], ids=["mc-metric-ci_ub", "mc-parameter-ci_ub", "rmss-parameter-means"])
+def test_compare_array_of_the_wrong_length_exits_3(runner, tmp_path, case14_reports,
+                                                    report, path):
+    data = {name: json.loads(text) for name, text in case14_reports.items()}
+    block = data[report]
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = block[path[-1]][:-1]
+    for name, value in data.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(value))
+    result = runner.invoke(main, ["compare", str(tmp_path / "rmss.json"),
+                                  str(tmp_path / "mc.json"), "--out", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "error:" in result.output
+
+
 def test_compare_malformed_mc_report_and_bad_json_exit_3(runner, tmp_path):
     assert runner.invoke(main, ["run", "--case", "case2", "--essential", "all",
                                 "--sigma-c", "auto", "--out", str(tmp_path)]).exit_code == 0

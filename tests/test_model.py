@@ -69,7 +69,7 @@ def _pv_host_case():
 
 def test_essential_pv_host_remodeled_as_pq():
     tagged = tag_essential(_pv_host_case(), "all-solar")
-    host = tagged.bus(2)
+    host = tagged.buses[tagged.bus_index()[2]]
     assert host.kind is BusKind.PQ
     assert host.v_setpoint is None
     # dispatch point preserved as the fixed injection

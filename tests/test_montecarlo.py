@@ -127,7 +127,7 @@ class TestRunMonteCarlo:
         case = tag_essential(two_bus(p_load=0.0, x=0.1), ["l1"])
         params = StochasticParameterSet.from_case(case, sigma_abs=0.05)
         spec = MetricSpec.voltages_at([2])
-        singular = abs(build_admittance(case).y[1, 1])
+        singular = abs(build_admittance(case)[1, 1])
         regular = np.array([[-0.3], [0.2], [-0.1], [0.4], [-0.2]])
 
         def run(values):

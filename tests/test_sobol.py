@@ -81,14 +81,6 @@ def test_confidence_halfwidths_shrink_with_sample_size():
     assert large.conf.max() < small.conf.max()
 
 
-def test_model_failure_carries_sample_index():
-    def flaky(x):
-        raise ModelEvaluationError("power flow diverged", sample_index=17)
-
-    with pytest.raises(ModelEvaluationError, match="sample 17"):
-        sobol_first_order(flaky, UNIT_NORMALS, n_base=64, seed=0)
-
-
 def test_foreign_model_failure_wrapped():
     def broken(x):
         raise RuntimeError("boom")

@@ -1,7 +1,6 @@
 """Closed-form worst-case construction, sweeps, and violation counting."""
 
 import base64
-import dataclasses
 import json
 import math
 
@@ -18,7 +17,6 @@ from rmss import (
     run_monte_carlo,
     run_rmss,
     tag_essential,
-    worst_case_metric,
     worst_case_parameters,
 )
 from rmss.exceptions import DegenerateDirection, InvalidProbability, MissingLimits, SchemaError
@@ -29,6 +27,9 @@ from rmss.worstcase import (
     FRACTION,
     RmssReport,
     SweepGrid,
+    _bounds,
+    _overshoot,
+    _quantile,
     count_violations,
     limit_arrays,
 )
@@ -60,25 +61,28 @@ def pset(means, stdevs, sigma=None):
 
 class TestWorstCaseMetric:
     def test_zero_spread_returns_nominal(self):
-        assert worst_case_metric(1.0, 0.0, 0.975, "UB") == 1.0
+        assert _bounds(1.0, 0.0, _quantile(0.975)).tolist() == [1.0, 1.0]
 
     def test_median_confidence_returns_nominal(self):
-        assert worst_case_metric(1.0, 0.01, 0.5, "UB") == pytest.approx(1.0, abs=1e-15)
+        assert _bounds(1.0, 0.01, _quantile(0.5)) == pytest.approx([1.0, 1.0], abs=1e-15)
 
     def test_975_quantile_against_erf_bisection_oracle(self):
         z = bisected_normal_quantile(0.975)
         assert z == pytest.approx(1.959963985, abs=1e-8)
-        assert worst_case_metric(1.0, 0.01, 0.975, "UB") == pytest.approx(1.0 + 0.01 * z, abs=1e-9)
-        assert worst_case_metric(1.0, 0.01, 0.975, "LB") == pytest.approx(1.0 - 0.01 * z, abs=1e-9)
+        assert _quantile(0.975) == pytest.approx(z, abs=1e-9)
+        ub, lb = _bounds(1.0, 0.01, _quantile(0.975))
+        assert ub == pytest.approx(1.0 + 0.01 * z, abs=1e-9)
+        assert lb == pytest.approx(1.0 - 0.01 * z, abs=1e-9)
 
     def test_invalid_probability(self):
         for rho in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(InvalidProbability):
-                worst_case_metric(1.0, 0.01, rho, "UB")
+                _quantile(rho)
 
-    def test_negative_sigma_rejected(self):
+    def test_negative_sigma_rejected(self, two_bus_stochastic):
+        case, params = two_bus_stochastic
         with pytest.raises(ValueError, match="nonnegative"):
-            worst_case_metric(1.0, -0.01, 0.975, "UB")
+            run_rmss(case, params, sigma_c=-0.01)
 
 
 class TestWorstCaseParameters:
@@ -192,12 +196,46 @@ class TestSweepGrid:
             SweepGrid((0.01,), unit="percentish")
 
 
-def count_one_point(case, rows, limits="case", label=0.01):
-    """Violations of (bus, c_wc_ub, c_wc_lb) rows at a single sweep point."""
+def one_point(case, rows, limits="case"):
+    """(buses, (1, m, 2) bounds, v_min, v_max) of (bus, c_wc_ub, c_wc_lb) rows at one point."""
     buses = [bus for bus, _, _ in rows]
     bounds = np.array([[[ub, lb] for _, ub, lb in rows]])
-    v_min, v_max = limit_arrays(limits, case, buses, np.ones(len(rows)))
-    return count_violations([label], buses, bounds, v_min, v_max)
+    return (buses, bounds, *limit_arrays(limits, case, buses, np.ones(len(rows))))
+
+
+def count_one_point(case, rows, limits="case", label=0.01):
+    """Violations of (bus, c_wc_ub, c_wc_lb) rows at a single sweep point."""
+    return count_violations([label], *one_point(case, rows, limits))
+
+
+def overshoot_one_point(case, rows, limits="case"):
+    """(m, 2) overshoot of each row's [c_wc_ub, c_wc_lb] beyond its [v_max, v_min], pu."""
+    _, bounds, v_min, v_max = one_point(case, rows, limits)
+    return _overshoot(bounds[0], np.stack([v_max, v_min], axis=-1))
+
+
+def overshoot_records(labels, buses, bounds, v_min, v_max):
+    """Per point, the excursions that ``_overshoot`` finds, in :func:`count_by_loop`'s form."""
+    limit = np.stack([v_max, v_min], axis=-1)
+    points = []
+    for label, point in zip(labels, bounds):
+        margins = _overshoot(point, limit)
+        points.append([
+            {"sigma": label, "bus": buses[i], "side": ("UB", "LB")[s],
+             "value": float(point[i, s]), "limit": float(limit[i, s]),
+             "margin": float(margins[i, s])}
+            for i, s in zip(*np.nonzero(margins > 0))
+        ])
+    return points
+
+
+def report_records(report):
+    """:func:`overshoot_records` of a report's stored bounds and limits."""
+    return overshoot_records(
+        [p.label for p in report.points], report.metric_buses,
+        np.stack([p.results for p in report.points]),
+        report.violations.v_min, report.violations.v_max,
+    )
 
 
 def count_by_loop(labels, buses, bounds, v_min, v_max):
@@ -223,14 +261,6 @@ def count_by_loop(labels, buses, bounds, v_min, v_max):
 
 
 class TestCountViolations:
-    def test_record_dict_is_the_dataclass_fields(self, case14):
-        report = count_one_point(case14, [(4, 1.2, 0.8), (5, 1.01, 0.7)])
-        records = [r for p in report.points for r in p.records]
-        assert records
-        for record in records:
-            assert record.to_dict() == dataclasses.asdict(record)
-            assert list(record.to_dict()) == [f.name for f in dataclasses.fields(record)]
-
     def test_all_inside_limits(self, case14):
         report = count_one_point(case14, [(4, 1.01, 0.99)])
         assert report.points[0].ub_total == 0
@@ -252,10 +282,9 @@ class TestCountViolations:
         rows = [(4, 1.019, 0.981), (5, 1.021, 0.985)]  # inside, outside
         report = count_one_point(case14, rows, limits=limits)
         assert report.per_bus_total == {5: 1}
-        records = report.points[0].records
-        assert len(records) == 1
-        assert records[0].side == "UB"
-        assert records[0].margin == pytest.approx(0.001)
+        margins = overshoot_one_point(case14, rows, limits=limits)
+        assert (margins > 0).tolist() == [[False, False], [True, False]]  # bus 5 UB only
+        assert margins[1, 0] == pytest.approx(0.001)
 
     def test_missing_limits(self, case14):
         from rmss.model import Bus, BusKind, GridCase
@@ -273,13 +302,13 @@ class TestCountViolations:
             count_one_point(case14, [(4, 1.1, 0.9)], limits={5: (0.9, 1.1)})
 
     def test_margins_recorded_in_pu(self, case14):
-        report = count_one_point(case14, [(4, 1.07, 0.93)])
-        by_side = {r.side: r for r in report.points[0].records}
-        assert by_side["UB"].margin == pytest.approx(1.07 - 1.05)
-        assert by_side["LB"].margin == pytest.approx(0.95 - 0.93)
+        ((ub, lb),) = overshoot_one_point(case14, [(4, 1.07, 0.93)])
+        assert ub == pytest.approx(1.07 - 1.05)
+        assert lb == pytest.approx(0.95 - 0.93)
 
     def test_matches_per_point_per_metric_loop(self, case14_solar):
-        # records, tallies and margins bitwise equal to a loop over (point, metric)
+        # tallies, and the values, limits and margins of the _overshoot
+        # excursions, bitwise equal to a loop over (point, metric)
         params = StochasticParameterSet.from_case(case14_solar)
         report = run_rmss(case14_solar, params, limits=0.01)
         bounds = np.stack([p.results for p in report.points])
@@ -287,12 +316,12 @@ class TestCountViolations:
         labels = [p.label for p in report.points]
         points, total = count_by_loop(labels, report.metric_buses, bounds, v_min, v_max)
         assert sum(len(r) for *_, r in points) > 0
-        for got, (label, ub_total, lb_total, tally, records) in zip(
-            report.violations.points, points
+        for got, excursions, (label, ub_total, lb_total, tally, records) in zip(
+            report.violations.points, report_records(report), points, strict=True
         ):
             assert (got.sigma_label, got.ub_total, got.lb_total) == (label, ub_total, lb_total)
             assert got.per_bus == tally
-            assert [r.to_dict() for r in got.records] == records
+            assert excursions == records
         assert report.violations.per_bus_total == total
 
 
@@ -421,12 +450,12 @@ class TestRunRmss:
         write_json(tmp_path / "report.json", report.to_dict())
         text = (tmp_path / "report.json").read_text()
         assert '"records"' not in text
-        again = RmssReport.from_dict(json.loads(text)).violations
-        want = report.violations
-        assert sum(len(p.records) for p in want.points) > 1000
+        rebuilt = RmssReport.from_dict(json.loads(text))
+        again, want = rebuilt.violations, report.violations
+        records = report_records(report)
+        assert sum(map(len, records)) > 1000
+        assert repr(report_records(rebuilt)) == repr(records)
         for got, point in zip(again.points, want.points, strict=True):
-            assert repr([r.to_dict() for r in got.records]) == repr(
-                [r.to_dict() for r in point.records])
             assert got.per_bus == point.per_bus
         assert (again.per_bus_total, again.worst_violator) == (
             want.per_bus_total, want.worst_violator)
@@ -445,6 +474,9 @@ class TestRunRmss:
         lambda d: d.pop("dispatch_directions"),
         lambda d: d["points"][0].pop("results"),
         lambda d: d["points"][0].update(results=[[1.0, 0.9]]),
+        lambda d: d["points"][0].update(sigma_abs=d["points"][0]["sigma_abs"][:-1]),
+        lambda d: d.update(c_nom=d["c_nom"][:-1]),
+        lambda d: d["parameters"].update(stdevs=d["parameters"]["stdevs"][:-1]),
     ])
     def test_from_dict_rejects_other_layouts(self, case14_solar, edit):
         params = StochasticParameterSet.from_case(case14_solar)
