@@ -11,10 +11,19 @@ parameter spread:
 - ``run_rmss(...).to_dict()`` without ``runtime_s``, with the propagated
   metric sigma and with the default sweep;
 - ``finite_difference_sensitivities`` values;
-- every field of ``PowerFlowEngine.chord_solve`` on 64 sampled rows at
-  1x, 10x and 30x the spread.
+- ``PowerFlowEngine.chord_solve`` on 64 sampled rows at 1x, 10x and 30x
+  the spread: which rows converged and their iteration counts, the
+  converged rows' ``v``, ``q_pv`` and ``history``, and the indices of the
+  rows that failed. A failed row's last iterate is left out: after 50
+  diverging steps it magnifies any difference in the last bits.
 
-Meant for refactors that must not change a bit of the results.
+On case14 'all-solar' and case118 'all' it also compares
+``run_monte_carlo`` at 2,000 samples, seed 1: each array of
+``statistics_dict()``, ``failed_indices`` and ``newton_iterations``.
+
+Meant for refactors that must not change a bit of the results. For a
+float array that differs, the largest absolute difference is printed, so
+a change in the last bits shows by how much.
 """
 
 from __future__ import annotations
@@ -29,6 +38,9 @@ import tempfile
 CASES = [("case14_stoch", "all-solar"), ("case118_stoch", "all"), ("case118_stoch", "all-renewable")]
 SPREADS = (1, 10, 30)
 CHORD_FIELDS = ("v", "q_pv", "converged", "iterations", "history")
+CHORD_CONVERGED_ONLY = ("v", "q_pv", "history")
+MC_CASES = [("case14_stoch", "all-solar"), ("case118_stoch", "all")]
+MC_SAMPLES, MC_SEED = 2_000, 1
 
 
 def dump(path: str) -> None:
@@ -57,8 +69,19 @@ def dump(path: str) -> None:
             p, q = params.injections(case, rmss.sample_parameters(wide, 64, seed=3).values)
             got = engine.chord_solve(p, q, sol, base)
             for field in CHORD_FIELDS:
-                out[f"{key}/chord/{k}x/{field}"] = np.asarray(getattr(got, field))
-            out[f"{key}/chord/{k}x/failed"] = int((~got.converged).sum())
+                values = getattr(got, field)
+                if field in CHORD_CONVERGED_ONLY:
+                    values = values[got.converged]
+                out[f"{key}/chord/{k}x/{field}"] = values
+            out[f"{key}/chord/{k}x/failed"] = np.flatnonzero(~got.converged)
+        if (name, selector) in MC_CASES:
+            mc = rmss.run_monte_carlo(case, params, spec, MC_SAMPLES, seed=MC_SEED)
+            stats = mc.statistics_dict()
+            for group in ("metrics", "parameters"):
+                for stat in ("mean", "stdev", "ci_lb", "ci_ub"):
+                    out[f"{key}/mc/{group}/{stat}"] = np.array(stats[group][stat])
+            out[f"{key}/mc/failed_indices"] = mc.failed_indices
+            out[f"{key}/mc/newton_iterations"] = mc.newton_iterations
     with open(path, "wb") as fh:
         pickle.dump(out, fh)
 
@@ -68,6 +91,21 @@ def _run(src: str, path: str) -> dict:
     subprocess.run([sys.executable, __file__, "--dump", path], env=env, check=True)
     with open(path, "rb") as fh:
         return pickle.load(fh)
+
+
+def _largest_difference(a, b) -> str:
+    """How far two differing arrays are apart, for float arrays of one shape."""
+    import numpy as np
+
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
+        return ""
+    if a.shape != b.shape or a.dtype.kind not in "fc" or b.dtype.kind not in "fc":
+        return ""
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not np.array_equal(a[~finite], b[~finite], equal_nan=True):
+        return " (non-finite entries differ)"
+    gap = np.abs(a[finite] - b[finite])
+    return f" (max |difference| {gap.max():.3g})" if gap.size else ""
 
 
 def main(old_src: str, new_src: str) -> int:
@@ -87,8 +125,8 @@ def main(old_src: str, new_src: str) -> int:
         if not same:
             differ.append(key)
     for key in differ:
-        print(f"DIFFERS: {key}")
-    failed = {k: v for k, v in new.items() if k.endswith("/failed")}
+        print(f"DIFFERS: {key}{_largest_difference(old.get(key), new.get(key))}")
+    failed = {k: len(v) for k, v in new.items() if k.endswith("/failed")}
     print(f"{len(old)} values compared, {len(differ)} differ; rows failing after the "
           f"Newton hand-off: {failed}")
     return 1 if differ else 0

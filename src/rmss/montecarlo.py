@@ -113,6 +113,7 @@ def _solve_samples(
     row, so only its singular rows fail.
     """
     positions = metric_positions(engine.bus_ids, spec)
+    inject = params.injector(engine.case)
     out = _Solved(
         metrics=np.full((len(samples), len(spec)), np.nan),
         converged=np.zeros(len(samples), dtype=bool),
@@ -123,7 +124,7 @@ def _solve_samples(
     for lo in range(0, len(samples), BLOCK_SIZE):
         t0 = time.perf_counter()
         block = slice(lo, lo + BLOCK_SIZE)
-        p, q = params.injections(engine.case, samples[block])
+        p, q = inject(samples[block])
         try:
             result = engine.solve(p, q, start=start)
             ok, v, iterations = result.converged, result.v, result.iterations
@@ -158,6 +159,8 @@ class McReport:
     total_runtime_s: float
     per_solve_mean_s: float
     per_solve_min_s: float
+    per_solve_p50_s: float | None = None  # None in a report written before they existed
+    per_solve_p95_s: float | None = None
     workers: int = 1
     metric_samples: np.ndarray | None = field(default=None, repr=False)
     failed_indices: np.ndarray = field(  # sample indices whose solve failed, ascending
@@ -212,6 +215,8 @@ class McReport:
                 "total_runtime_s": self.total_runtime_s,
                 "per_solve_mean_s": self.per_solve_mean_s,
                 "per_solve_min_s": self.per_solve_min_s,
+                "per_solve_p50_s": self.per_solve_p50_s,
+                "per_solve_p95_s": self.per_solve_p95_s,
             },
             "workers": self.workers,
         }
@@ -221,11 +226,11 @@ class McReport:
         """Rebuild a report written by :meth:`to_dict`; missing fields are a SchemaError.
 
         So is a metric or parameter array whose length differs from its
-        ``buses`` or ``labels`` list. The ``diagnostics`` block is optional,
-        so reports written before it existed still load. A report whose
-        intervals are not the sampled percentiles is refused: the worst-case
-        bounds are quantiles, and ``mae_compare`` can score them against
-        quantiles only.
+        ``buses`` or ``labels`` list. The ``diagnostics`` block and the
+        per-solve quantiles are optional, so reports written before them
+        still load. A report whose intervals are not the sampled
+        percentiles is refused: the worst-case bounds are quantiles, and
+        ``mae_compare`` can score them against quantiles only.
         """
         try:
             stats, timing = data["statistics"], data["timing"]
@@ -256,6 +261,8 @@ class McReport:
                 total_runtime_s=timing["total_runtime_s"],
                 per_solve_mean_s=timing["per_solve_mean_s"],
                 per_solve_min_s=timing["per_solve_min_s"],
+                per_solve_p50_s=timing.get("per_solve_p50_s"),
+                per_solve_p95_s=timing.get("per_solve_p95_s"),
                 workers=data.get("workers", 1),
                 failed_indices=np.array(diagnostics.get("failed_indices", []), dtype=int),
                 newton_iterations={
@@ -306,6 +313,7 @@ def run_monte_carlo(
     iterations = np.bincount(iterations[iterations >= 0])
     block_seconds = [t for part in parts for t in part.block_seconds]
     block_sizes = [k for part in parts for k in part.block_sizes]
+    per_solve = np.divide(block_seconds, block_sizes) if n else np.zeros(1)
 
     failed = np.flatnonzero(~converged)
     good = metrics[converged]
@@ -338,7 +346,9 @@ def run_monte_carlo(
         param_ci_ub=params.means + _Z95 * params.stdevs,
         total_runtime_s=total,
         per_solve_mean_s=sum(block_seconds) / n if n else 0.0,
-        per_solve_min_s=min(t / k for t, k in zip(block_seconds, block_sizes)) if n else 0.0,
+        per_solve_min_s=float(per_solve.min()),
+        per_solve_p50_s=float(np.percentile(per_solve, 50)),
+        per_solve_p95_s=float(np.percentile(per_solve, 95)),
         workers=workers,
         metric_samples=metrics if keep_samples else None,
         failed_indices=failed,

@@ -7,8 +7,9 @@ joint distribution is multivariate normal with covariance ``sigma``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -46,10 +47,25 @@ def _check_psd(matrix: np.ndarray) -> None:
         raise NotPSD(f"covariance has negative eigenvalue {eigvals.min():.3e}")
 
 
+def _inject(
+    p0: np.ndarray, q0: np.ndarray, axis: np.ndarray, bus: np.ndarray, means: np.ndarray,
+    values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Base injections (p0, q0) with each row's entry deviations from ``means`` added."""
+    values = np.atleast_2d(values)
+    delta = values - means
+    pq = np.empty((2, len(values), len(p0)))
+    pq[0], pq[1] = p0, q0
+    np.add.at(pq, (axis, slice(None), bus), delta.T)
+    return pq[0], pq[1]
+
+
 @dataclass(frozen=True, eq=False)
 class StochasticParameterSet:
     entries: tuple[ParameterEntry, ...]
     sigma: np.ndarray  # d x d covariance, pu^2
+    means: np.ndarray = field(init=False, repr=False)  # (d,) entry means, read-only
+    stdevs: np.ndarray = field(init=False, repr=False)  # (d,) entry stdevs, read-only
 
     def __post_init__(self):
         sig = np.asarray(self.sigma, dtype=float)
@@ -59,20 +75,15 @@ class StochasticParameterSet:
                 f"covariance shape {sig.shape} does not match {len(self.entries)} entries"
             )
         _check_psd(sig)
-        stdevs = np.array([e.stdev for e in self.entries])
-        if not np.allclose(np.diag(sig), stdevs**2, rtol=1e-9, atol=1e-15):
+        for name in ("mean", "stdev"):
+            values = np.array([getattr(e, name) for e in self.entries])
+            values.flags.writeable = False
+            object.__setattr__(self, name + "s", values)
+        if not np.allclose(np.diag(sig), self.stdevs**2, rtol=1e-9, atol=1e-15):
             raise NotPSD("covariance diagonal must equal entry stdevs squared")
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([e.mean for e in self.entries])
-
-    @property
-    def stdevs(self) -> np.ndarray:
-        return np.array([e.stdev for e in self.entries])
 
     def labels(self) -> tuple[str, ...]:
         return tuple(f"{e.component}.{e.axis.value}" for e in self.entries)
@@ -95,6 +106,16 @@ class StochasticParameterSet:
         comps = case.component_map()
         return np.array([idx[comps[e.component].bus] for e in self.entries], dtype=int)
 
+    def injector(self, case: GridCase):
+        """:meth:`injections` on ``case`` as a function of the (S, d) rows alone.
+
+        The case's injections and the bus map are built here once, so a
+        caller mapping many blocks of rows pays for them once.
+        """
+        p0, q0 = case.injections()
+        axis = np.array([entry.axis is Axis.Q for entry in self.entries], dtype=int)
+        return partial(_inject, p0, q0, axis, self.bus_map(case), self.means)
+
     def injections(
         self, case: GridCase, values: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -104,14 +125,7 @@ class StochasticParameterSet:
         substituted for the means, added entry by entry in entry order:
         ``np.add.at`` adds at a repeated (axis, bus) pair in index order.
         """
-        values = np.atleast_2d(values)
-        delta = values - self.means
-        p0, q0 = case.injections()
-        pq = np.empty((2, len(values), len(p0)))
-        pq[0], pq[1] = p0, q0
-        axis = np.array([entry.axis is Axis.Q for entry in self.entries], dtype=int)
-        np.add.at(pq, (axis, slice(None), self.bus_map(case)), delta.T)
-        return pq[0], pq[1]
+        return self.injector(case)(values)
 
     def apply(
         self, case: GridCase, values: np.ndarray

@@ -93,6 +93,175 @@ class PowerFlowSolution:
     q_pv: dict[int, float] = field(default_factory=dict)  # solved net Q at PV buses
 
 
+def _rows_of(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[list[int]]:
+    """The entries' columns grouped by row, for (rows, cols) sorted by row."""
+    bounds = np.searchsorted(rows, np.arange(dim + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _levels(deps: list[list[int]], order) -> np.ndarray:
+    """Each node's depth in a DAG: 0 without dependencies, else 1 + its deepest dependency's.
+
+    ``order`` visits every node after all its dependencies.
+    """
+    level = [0] * len(deps)
+    for k in order:
+        level[k] = 1 + max(map(level.__getitem__, deps[k]), default=-1)
+    return np.array(level, dtype=int)
+
+
+def _by_level(rows: np.ndarray, cols: np.ndarray, level: np.ndarray, pos: np.ndarray) -> list:
+    """A row-oriented triangular solve's schedule: per level from 1, its rows and their terms.
+
+    Each entry is (rows, term positions in the LU, term columns, start of
+    each row's terms), for ``np.add.reduceat``; rows of level 0 have no terms.
+    """
+    order = np.argsort(level[rows], kind="stable")  # keeps each row's terms in column order
+    rows, cols = rows[order], cols[order]
+    heads = np.flatnonzero(np.diff(rows, prepend=-1))  # a row's first term
+    bounds = np.searchsorted(level[rows], np.arange(1, level.max() + 2))
+    firsts = np.searchsorted(heads, bounds).tolist()
+    terms = pos[rows, cols]
+    return [
+        (rows[heads[h:g]], terms[a:b], cols[a:b], heads[h:g] - a)
+        for a, b, h, g in zip(bounds.tolist(), bounds[1:].tolist(), firsts, firsts[1:])
+    ]
+
+
+class _ReplayLU:
+    """One sparse LU's pivot sequence, replayed on stacks of same-pattern matrices.
+
+    SuperLU factors the reference matrix A once, with minimum-degree
+    ordering on A^T + A and partial pivoting. Its row pivots ``perm_r`` and
+    column order ``perm_c`` fix B = Pr A Pc, with B[perm_r[i], perm_c[j]] =
+    A[i, j], which every later matrix is factored as without pivoting. The
+    fill of B's pattern is found symbolically and each elimination step is
+    given a level, one more than the deepest step that writes to its row or
+    column. :meth:`solve` then runs the factorization and both triangular
+    solves level by level on (nnz + dim, S) arrays. A factor level divides
+    its pivots' columns, then applies their rank-one updates in rounds of
+    distinct targets; the forward solve's updates join those rounds, as
+    one more column of the matrix. A backward-solve level sums each row's
+    terms with ``np.add.reduceat``. Every operation is elementwise along S,
+    so a row's result does not depend on the other rows or their number.
+    """
+
+    def __init__(self, indices: np.ndarray, indptr: np.ndarray, data: np.ndarray):
+        self.dim = dim = len(indptr) - 1
+        ref = splu(
+            sparse.csc_matrix((data, indices, indptr), shape=(dim, dim)),
+            permc_spec="MMD_AT_PLUS_A",
+        )
+        self.perm_r, self.perm_c = ref.perm_r, ref.perm_c
+        bi = self.perm_r[indices]
+        bj = self.perm_c[np.repeat(np.arange(dim), np.diff(indptr))]
+
+        # Symbolic LU without pivoting, row by row on bit masks: row i takes
+        # the upper pattern of every row k < i in its (growing) lower part.
+        nbytes = (dim + 7) // 8
+        dense = np.zeros((dim, dim), dtype=bool)
+        dense[bi, bj] = True
+        packed = np.packbits(dense, axis=1, bitorder="little").tobytes()
+        pattern = [
+            int.from_bytes(packed[r : r + nbytes], "little") for r in range(0, len(packed), nbytes)
+        ]
+        upper = [0] * dim
+        for i in range(dim):
+            row, below = pattern[i], (1 << i) - 1
+            lower = row & below
+            while lower:
+                k = (lower & -lower).bit_length() - 1
+                row |= upper[k]
+                lower = row & below & ~((2 << k) - 1)
+            upper[i] = row >> (i + 1) << (i + 1)
+            pattern[i] = row
+        packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in pattern), np.uint8)
+        filled = np.unpackbits(packed.reshape(dim, nbytes), axis=1, count=dim, bitorder="little")
+        fi, fj = np.nonzero(filled)  # row-major
+        pos = np.full((dim, dim), -1)
+        pos[fi, fj] = np.arange(len(fi))
+        self.nnz, self.scatter = len(fi), pos[bi, bj]
+        self.diag = pos[np.arange(dim), np.arange(dim)]
+        li, lj = fi[fj < fi], fj[fj < fi]  # strictly lower (L) entries, row-major
+        ui, uj = fi[fj > fi], fj[fj > fi]  # strictly upper (U) entries, row-major
+
+        # Step k reads row k of U and column k of L: it waits for each step
+        # p with L[k, p] or U[p, k].
+        l_rows = _rows_of(li, lj, dim)
+        by_col = np.argsort(uj, kind="stable")
+        u_cols = _rows_of(uj[by_col], ui[by_col], dim)
+        level = _levels([a + b for a, b in zip(l_rows, u_cols)], range(dim))
+
+        # Step k's updates: U[k, j] times each L[i, k], from B[i, j]. The
+        # forward solve rides along: y[k] times each L[i, k], from y[i].
+        by_col = np.lexsort((li, lj))
+        lci, lcj = li[by_col], lj[by_col]  # L entries, column-major
+        n_l = np.bincount(lcj, minlength=dim)
+        n_u = np.bincount(ui, minlength=dim)
+        per = n_l * n_u
+        k = np.repeat(np.arange(dim), per)
+        offset = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+        width = np.maximum(n_u[k], 1)
+        i = lci[np.repeat(np.cumsum(n_l) - n_l, per) + offset // width]
+        j = uj[np.repeat(np.cumsum(n_u) - n_u, per) + offset % width]
+        l_pos, y0 = pos[lci, lcj], self.nnz  # y[i] is row y0 + i of the work array
+        target = np.concatenate([pos[i, j], y0 + lci])
+        l_k = np.concatenate([pos[i, k], l_pos])
+        u_k = np.concatenate([pos[k, j], y0 + lcj])
+        k = np.concatenate([k, lcj])
+        # An update's round is the number of updates of its level before it
+        # with the same target, in step order.
+        step_level = level[k]
+        order = np.lexsort((k, target, step_level))
+        same = np.flatnonzero(np.diff(step_level[order] * (y0 + dim) + target[order], prepend=-1))
+        rank = np.empty(len(order), dtype=int)
+        rank[order] = np.arange(len(order)) - np.repeat(same, np.diff(same, append=len(order)))
+        order = np.lexsort((rank, step_level))  # stable: step order within a round
+        group = step_level[order] * (rank.max(initial=0) + 1) + rank[order]
+        cuts = np.flatnonzero(np.diff(group, prepend=-1)).tolist() + [len(order)]
+        rounds = [[] for _ in range(level.max() + 1)]
+        for a, b in zip(cuts, cuts[1:]):
+            pick = order[a:b]
+            rounds[step_level[pick[0]]].append((target[pick], l_k[pick], u_k[pick]))
+        by_level = np.argsort(level[lcj], kind="stable")
+        bounds = np.searchsorted(level[lcj][by_level], np.arange(level.max() + 2)).tolist()
+        self.factor_levels = [
+            (l_pos[pick], self.diag[lcj[pick]], rounds[lv])
+            for lv, (a, b) in enumerate(zip(bounds, bounds[1:]))
+            for pick in [by_level[a:b]]
+        ]
+        self.rhs_rows = y0 + self.perm_r
+
+        backward = _levels(_rows_of(ui, uj, dim), range(dim - 1, -1, -1))
+        self.backward = _by_level(ui, uj, backward, pos)
+        self.backward_first = np.flatnonzero(backward == 0)
+
+    def solve(self, data: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(S, dim) solutions for the (S, nnz) CSC values ``data`` and (S, dim) ``rhs``.
+
+        Also returns which rows met a zero or non-finite pivot or gave a
+        non-finite solution; their rows of the result mean nothing.
+        """
+        work = np.zeros((self.nnz + self.dim, len(data)))  # LU entries, then y and x
+        work[self.scatter] = data.T
+        work[self.rhs_rows] = rhs.T
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for column, pivot, rounds in self.factor_levels:
+                work[column] /= work[pivot]
+                for target, l_k, u_k in rounds:
+                    work[target] -= work[l_k] * work[u_k]
+            pivots = work[self.diag]
+            x = work[self.nnz :]
+            first = self.backward_first
+            x[first] /= pivots[first]
+            for rows, terms, cols, starts in self.backward:
+                x[rows] = (x[rows] - np.add.reduceat(work[terms] * x[cols], starts)) / pivots[rows]
+        x = x[self.perm_c].T
+        ok = (np.isfinite(pivots) & (pivots != 0.0)).all(axis=0) & np.isfinite(x).all(axis=1)
+        return x, ~ok
+
+
 class PowerFlowEngine:
     """Newton solver on the rectangular current-injection equations, built once per case.
 
@@ -104,10 +273,12 @@ class PowerFlowEngine:
     of the Jacobian, with its constant entries already in place and a
     scatter map for the injection-dependent ones. :meth:`solve` runs full
     Newton on a block of samples in lockstep, each sample with its own
-    Jacobian; the Jacobians are factored a stack at a time as one
-    block-diagonal matrix, so a sample's iterates do not depend on the
-    block it is solved in. :meth:`chord_solve` and :meth:`solve_transposed`
-    instead reuse one factorization at an already solved state.
+    Jacobian. From a flat start each Jacobian is factored on its own; from
+    a solved start all of them are factored at once along one replayed
+    pivot sequence (:class:`_ReplayLU`), taken from that start alone.
+    Either way a sample's iterates do not depend on the block it is solved
+    in. :meth:`chord_solve` and :meth:`solve_transposed` instead reuse one
+    factorization at an already solved state.
     """
 
     def __init__(self, case: GridCase):
@@ -175,8 +346,7 @@ class PowerFlowEngine:
         self._template = np.full(len(pattern), -0.0)
         self._template[slot[: len(const_vals)]] = const_vals
         self._var_slots = slot[len(const_vals) :]
-        self._rows_per_stack = max(1, STACK_NNZ // len(pattern))
-        self._order = None  # SuperLU's column order for the pattern, set by the first solve
+        self._replay: tuple[PowerFlowSolution, _ReplayLU] | None = None  # the last start's
 
     def _initial_states(
         self, q: np.ndarray, start: PowerFlowSolution | None = None
@@ -277,59 +447,36 @@ class PowerFlowEngine:
                 ) from exc
             raise JacobianSingular(f"factorization failed: {exc}") from exc
 
-    def _set_column_order(self, data: np.ndarray) -> None:
-        """Take SuperLU's column order from one factorization and build the stack pattern.
+    def _replay_at(self, start: PowerFlowSolution) -> _ReplayLU:
+        """The replayed LU for Newton from ``start``, built once per solved state.
 
-        The order (COLAMD plus the elimination-tree postorder) depends only
-        on the sparsity pattern, so one factorization fixes it for every
-        row. ``_gather`` picks a row's CSC data in that column order, and
-        the stack arrays hold the block-diagonal pattern of the largest
-        stack; a stack of k rows uses their leading parts.
+        Its pivots come from the Jacobian at ``start``'s state under the
+        injections that state balances, so they depend on ``start`` alone.
         """
-        perm_c = self._factorize(data).perm_c  # column j goes to perm_c[j]
-        self._order = np.argsort(perm_c)
-        position = perm_c[np.repeat(np.arange(self.dim), np.diff(self._indptr))]
-        self._gather = np.argsort(position, kind="stable")  # keeps rows sorted in a column
-        indptr = np.searchsorted(position[self._gather], np.arange(self.dim + 1))
-        nnz, blocks = len(self._gather), np.arange(self._rows_per_stack)[:, None]
-        stack_indices = self._indices[self._gather] + self.dim * blocks
-        stack_indptr = np.append(indptr[:-1] + nnz * blocks, nnz * len(blocks))
-        self._stack_indices = stack_indices.ravel().astype(np.intc)
-        self._stack_indptr = stack_indptr.astype(np.intc)
+        if self._replay is None or self._replay[0] is not start:
+            s = start.v * np.conj(self.y @ start.v)
+            data = self._jacobian_data_at(start, s.real, s.imag)
+            self._replay = (start, _ReplayLU(self._indices, self._indptr, data))
+        return self._replay[1]
 
-    def _steps(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Each row's Newton step J_r^-1 rhs_r, one SuperLU call per stack of rows.
+    def _steps(
+        self, data: np.ndarray, rhs: np.ndarray, replay: _ReplayLU | None = None
+    ) -> np.ndarray:
+        """Each row's Newton step J_r^-1 rhs_r.
 
-        A stack is the block-diagonal matrix of its rows' Jacobians, each
-        with its columns already in SuperLU's order, factored without
-        reordering: every block gets the pivots and LU its own ``splu``
-        would, so a row's step is bitwise the per-row one. (Only an exact
-        tie between pivot candidates could split them, as SuperLU's
-        diagonal preference then sees the reordered diagonal; the tests
-        check equality on the bundled cases.) A singular stack is factored
-        again row by row, so the first singular row raises the
-        :class:`JacobianSingular` its own factorization raises.
+        Without ``replay`` every row is factored on its own. With it, all
+        rows are factored at once along the replay's pivot sequence; a row
+        whose replay meets a zero or non-finite pivot, or gives a non-finite
+        step, is factored on its own instead. Either way a singular row
+        raises the :class:`JacobianSingular` its own factorization raises.
         """
-        if self._order is None:
-            self._set_column_order(data[0])
-        step = np.empty_like(rhs)
-        for s in range(0, len(rhs), self._rows_per_stack):
-            k = min(self._rows_per_stack, len(rhs) - s)
-            stack = sparse.csc_matrix(
-                (
-                    data[s : s + k, self._gather].ravel(),
-                    self._stack_indices[: k * len(self._gather)],
-                    self._stack_indptr[: k * self.dim + 1],
-                ),
-                shape=(k * self.dim, k * self.dim),
-            )
-            try:
-                lu = splu(stack, permc_spec="NATURAL")
-            except RuntimeError:
-                for r in range(s, s + k):
-                    self._factorize(data[r])
-                raise
-            step[s : s + k, self._order] = lu.solve(rhs[s : s + k].ravel()).reshape(k, -1)
+        if replay is None:
+            step, redo = np.empty_like(rhs), range(len(rhs))
+        else:
+            step, bad = replay.solve(data, rhs)
+            redo = np.flatnonzero(bad)
+        for r in redo:
+            step[r] = self._factorize(data[r]).solve(rhs[r])
         return step
 
     def _jacobian_data_at(
@@ -400,13 +547,17 @@ class PowerFlowEngine:
 
         A row stops when its mismatch meets the tolerance (converged), turns
         non-finite or exceeds the divergence limit, its state turns
-        non-finite, or it reaches ``max_iter``; the others iterate on.
+        non-finite, or it reaches ``max_iter``; the others iterate on. From
+        a solved ``start`` the steps come from :meth:`_replay_at`'s LU.
         """
         opts = options or NewtonOptions()
         p, q = np.atleast_2d(p), np.atleast_2d(q)
+        replay = None if start is None else self._replay_at(start)
         return self._lockstep(
             self._initial_states(q, start), p, q,
-            lambda e, f, q_eff, p, rhs: self._steps(self._jacobian_data(e, f, q_eff, p), rhs),
+            lambda e, f, q_eff, p, rhs: self._steps(
+                self._jacobian_data(e, f, q_eff, p), rhs, replay
+            ),
             opts.max_iter, opts,
         )
 
@@ -491,11 +642,6 @@ _DIVERGENCE_LIMIT = 1e8
 # Chord steps a row of :meth:`PowerFlowEngine.chord_solve` may take before
 # full Newton solves it instead. A finite-difference probe row settles in one or two.
 CHORD_STEPS = 4
-
-# Jacobian nonzeros per stacked factorization. SuperLU's workspace is about
-# 20x its input: at 12,000 the case118 benchmarks' peak RSS rose by 1.5-2.6
-# MB, at 6,000 it stays flat while case14 still factors 32 rows per call.
-STACK_NNZ = 6_000
 
 
 def engine_for(case: GridCase | PowerFlowEngine) -> PowerFlowEngine:

@@ -1,10 +1,13 @@
 """Seeded sampling, deterministic parallel solves, and the MAE comparison."""
 
+import json
+
 import numpy as np
 import pytest
 
 from rmss import (
     MetricSpec,
+    default_metric_spec,
     mae_compare,
     run_monte_carlo,
     run_rmss,
@@ -106,6 +109,19 @@ class TestRunMonteCarlo:
         assert serial.statistics_dict() == parallel.statistics_dict()
         assert np.array_equal(serial.metric_mean, parallel.metric_mean)
 
+    def test_replayed_blocks_give_worker_independent_statistics_on_case118(self, case118):
+        # case118 'all' takes 2-6 Newton steps per sample and some fail:
+        # every step from the nominal start goes through the replayed LU
+        case = tag_essential(case118, "all")
+        params = StochasticParameterSet.from_case(case, sigma_frac=0.02)
+        spec = default_metric_spec(case)
+        serial = run_monte_carlo(case, params, spec, n=2_000, seed=1, workers=1)
+        parallel = run_monte_carlo(case, params, spec, n=2_000, seed=1, workers=2)
+        assert serial.n_failed > 0
+        assert json.dumps(serial.statistics_dict()) == json.dumps(parallel.statistics_dict())
+        assert serial.failed_indices.tolist() == parallel.failed_indices.tolist()
+        assert serial.newton_iterations == parallel.newton_iterations
+
     def test_nominal_divergence_aborts(self):
         case = tag_essential(two_bus(p_load=6.0), ["l1"])
         params = StochasticParameterSet.from_case(case, sigma_frac=0.02)
@@ -152,6 +168,22 @@ class TestRunMonteCarlo:
         n_converged = mc.n_samples - mc.n_failed
         assert mc.total_runtime_s >= n_converged * mc.per_solve_min_s
         assert mc.per_solve_min_s > 0
+
+    def test_per_solve_quantiles_are_timing_only(self, two_bus_stochastic):
+        case, params = two_bus_stochastic
+        mc = run_monte_carlo(case, params, MetricSpec.voltages_at([2]), n=300, seed=3)
+        assert 0 < mc.per_solve_min_s <= mc.per_solve_p50_s <= mc.per_solve_p95_s
+        data = mc.to_dict()
+        assert data["timing"]["per_solve_p95_s"] == mc.per_solve_p95_s
+        assert "per_solve_p50_s" not in json.dumps(data["statistics"])
+        again = McReport.from_dict(data)
+        assert (again.per_solve_p50_s, again.per_solve_p95_s) == (
+            mc.per_solve_p50_s, mc.per_solve_p95_s
+        )
+        for key in ("per_solve_p50_s", "per_solve_p95_s"):
+            del data["timing"][key]
+        older = McReport.from_dict(data)
+        assert older.per_solve_p50_s is None and older.per_solve_p95_s is None
 
     def test_protocol_sample_size_one_thousand(self, two_bus_stochastic):
         # 1,000 here; 10,000 and 100,000 run in the stability test below

@@ -310,6 +310,10 @@ class TestEngine:
     def test_stacked_steps_match_per_row_factorization(
         self, fixture, selector, n, seed, warm, request
     ):
+        # A flat start factors each row on its own, bitwise the per-row
+        # loop. From a solved start the replayed LU rounds differently from
+        # SuperLU in the last bits, so there the outcomes must agree and the
+        # states only to 1e-12 relative.
         case, params = _stochastic(request.getfixturevalue(fixture), selector)
         engine = PowerFlowEngine(case)
         nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
@@ -319,7 +323,7 @@ class TestEngine:
         # The reference: one splu of each row's own Jacobian, row by row.
         reference = PowerFlowEngine(case)
 
-        def per_row_steps(data, rhs):
+        def per_row_steps(data, rhs, replay=None):
             jac = reference._jacobian(reference._template.copy())
             step = np.empty_like(rhs)
             for r in range(len(rhs)):
@@ -330,14 +334,98 @@ class TestEngine:
         reference._steps = per_row_steps
         got, want = engine.solve(p, q, start), reference.solve(p, q, start)
 
-        assert n > engine._rows_per_stack  # more than one stack
         # case118 'all' reaches the failure path; case14 has PV rows
         assert len(engine.pv) if fixture == "case14" else not want.converged.all()
         assert np.array_equal(got.converged, want.converged)
         assert np.array_equal(got.iterations, want.iterations)
-        assert np.array_equal(got.v, want.v, equal_nan=True)
-        assert np.array_equal(got.q_pv, want.q_pv, equal_nan=True)
-        assert np.array_equal(got.history, want.history, equal_nan=True)
+        if warm:
+            ok = want.converged
+            np.testing.assert_allclose(got.v[ok], want.v[ok], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got.q_pv[ok], want.q_pv[ok], rtol=1e-12, atol=0)
+        else:
+            assert np.array_equal(got.v, want.v, equal_nan=True)
+            assert np.array_equal(got.q_pv, want.q_pv, equal_nan=True)
+            assert np.array_equal(got.history, want.history, equal_nan=True)
+
+    @pytest.mark.parametrize("fixture, selector", [("case14", "all-solar"), ("case118", "all")])
+    def test_replayed_steps_match_per_row_splu(self, fixture, selector, request):
+        case, params = _stochastic(request.getfixturevalue(fixture), selector)
+        engine = PowerFlowEngine(case)
+        nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
+        p, q = params.injections(case, sample_parameters(params, 64, seed=2).values)
+        solved = engine.solve(p, q, start=nominal)
+        # Jacobians at the nominal state and at each sample's own solution
+        x = np.concatenate([engine._initial_states(q, nominal), engine._initial_states(q, nominal)])
+        x[64:, 0 : 2 * engine.n : 2] = solved.v.real
+        x[64:, 1 : 2 * engine.n : 2] = solved.v.imag
+        x[64:, 2 * engine.n :] = solved.q_pv
+        pp, qq = np.concatenate([p, p]), np.concatenate([q, q])
+        e, f, q_eff, _, _ = engine._terms(x, qq)
+        data = engine._jacobian_data(e, f, q_eff, pp)
+        rhs = np.random.default_rng(0).standard_normal((len(data), engine.dim))
+
+        got, bad = engine._replay_at(nominal).solve(data, rhs)
+        assert not bad.any()
+        for r in range(len(data)):
+            want = splu(engine._jacobian(data[r])).solve(rhs[r])
+            assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), r
+
+    def test_row_bits_independent_of_block_size(self, case118):
+        case, params = _stochastic(case118, "all")
+        engine = PowerFlowEngine(case)
+        nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
+        p, q = params.injections(case, sample_parameters(params, 64, seed=9).values)
+        # Backward-solve rows sum more than numpy's 8 unrolled terms, where
+        # a reduction's order could depend on the memory layout.
+        replay = engine._replay_at(nominal)
+        terms = [np.diff(np.append(starts, len(pos))) for _, pos, _, starts in replay.backward]
+        assert max(t.max() for t in terms) > 8
+
+        block = engine.solve(p, q, start=nominal)
+        for r in range(64):
+            pair = [(r + 1) % 64, r]
+            alone = engine.solve(p[[r]], q[[r]], nominal)
+            paired = engine.solve(p[pair], q[pair], nominal)
+            for name in ("v", "q_pv", "iterations", "history"):
+                want = getattr(alone, name)[0]
+                for got in (getattr(paired, name)[1], getattr(block, name)[r]):
+                    assert np.array_equal(got, want, equal_nan=True), (r, name)
+
+    def test_zero_replay_pivot_falls_back_to_the_rows_own_factorization(self, case14):
+        case, params = _stochastic(case14, "all-solar")
+        engine = PowerFlowEngine(case)
+        nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
+        replay = engine._replay_at(nominal)
+        p, q = params.injections(case, sample_parameters(params, 3, seed=1).values)
+        e, f, q_eff, _, _ = engine._terms(engine._initial_states(q, nominal), q)
+        data = engine._jacobian_data(e, f, q_eff, p)
+        rhs = np.random.default_rng(1).standard_normal((3, engine.dim))
+        # Zero the entry that is the replay's first pivot in row 1: that
+        # Jacobian stays regular, but only with other pivots.
+        (first,) = np.flatnonzero(replay.scatter == replay.diag[0])
+        data[1, first] = 0.0
+        replayed, bad = replay.solve(data, rhs)
+        assert bad.tolist() == [False, True, False]
+
+        step = engine._steps(data, rhs, replay)
+        assert np.array_equal(step[[0, 2]], replayed[[0, 2]])
+        assert np.array_equal(step[1], splu(engine._jacobian(data[1])).solve(rhs[1]))
+
+    def test_singular_row_on_the_replay_path_raises_like_its_own_solve(self):
+        # From the zero-injection solution (the flat state), p = -B, q = 0
+        # at bus 2 makes the first Jacobian exactly singular.
+        case = two_bus(p_load=0.0)
+        engine = PowerFlowEngine(case)
+        start = solve_power_flow(engine)
+        assert start.iterations == 0
+        b = engine.y[1, 1].imag
+        p = np.array([[0.0, -0.5], [0.0, -b], [0.0, -0.2]])
+        q = np.zeros_like(p)
+        with pytest.raises(JacobianSingular) as alone:
+            PowerFlowEngine(case).solve(p[1], q[1])
+        with pytest.raises(JacobianSingular) as replayed:
+            engine.solve(p, q, start=start)
+        assert str(replayed.value) == str(alone.value)
 
     @pytest.mark.parametrize("fixture, selector", [("case14", "all-solar"), ("case118", "all")])
     def test_chord_rows_independent_of_their_block(self, fixture, selector, request):
