@@ -19,12 +19,12 @@ import click
 import numpy as np
 
 from . import cases
-from .exceptions import ConfigError, InputError, NonConvergence, SolverError
+from .exceptions import ConfigError, InputError, SolverError
 from .matpower import parse_case
 from .model import GridCase, tag_essential, validate_case
 from .montecarlo import McReport, mae_compare, run_monte_carlo
 from .parameters import Axis, StochasticParameterSet
-from .powerflow import MetricSpec, PowerFlowEngine, default_metric_spec, solve_power_flow
+from .powerflow import MetricSpec, PowerFlowEngine, default_metric_spec
 from .reportio import (
     write_json,
     write_manifest,
@@ -32,7 +32,9 @@ from .reportio import (
     write_worst_violator_csv,
 )
 from .sensitivity import hybrid_sensitivities
-from .worstcase import ABSOLUTE, FRACTION, PROPAGATED, RmssReport, SweepGrid, run_rmss
+from .worstcase import (
+    ABSOLUTE, FRACTION, PROPAGATED, RmssReport, SweepGrid, nominal_solution, run_rmss
+)
 
 
 def _manifest_config(**resolved) -> dict:
@@ -332,13 +334,7 @@ def cmd_sensitivity(case, essential, axes, sigma_p, correlation, metrics, out):
     _out_dir(Path(out).parent)
     grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
     engine = PowerFlowEngine(grid)
-    sol = solve_power_flow(engine, injections=params.apply(grid, params.means))
-    if not sol.converged:
-        raise NonConvergence(
-            f"power flow did not converge (history: {list(sol.mismatch_history)})",
-            solution=sol,
-        )
-    sens = hybrid_sensitivities(engine, sol, params, spec)
+    sens = hybrid_sensitivities(engine, nominal_solution(engine, params), params, spec)
     sens.to_csv(out)
     click.echo(f"{len(sens.metric_buses)}x{len(sens.parameter_labels)} matrix "
                f"written to {out}")

@@ -4,7 +4,9 @@ Samples are drawn once up front from the seeded generator and solved in
 fixed blocks of ``BLOCK_SIZE`` consecutive samples, each block as one
 lockstep Newton run of the case's power-flow engine. Workers receive whole
 blocks, and each sample's solve is a pure function of (case, sample), so
-the worker count cannot change a single bit of the statistics.
+the worker count cannot change a single bit of the statistics. A sample
+that diverges or meets a singular Jacobian fails alone: it is in
+``failed_indices``, and in the iteration histogram at its stop.
 """
 
 from __future__ import annotations
@@ -15,19 +17,12 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
 
-from .exceptions import (
-    AllSamplesFailed,
-    DimensionMismatch,
-    ExcessiveFailureRate,
-    JacobianSingular,
-    SchemaError,
-)
+from .exceptions import AllSamplesFailed, DimensionMismatch, ExcessiveFailureRate, SchemaError
 from .model import GridCase
 from .parameters import StochasticParameterSet
-# build_admittance and evaluate_metrics are unused here but stay importable:
-# perfbench/layers.py traces them under this module.
+# build_admittance, evaluate_metrics and solve_power_flow are unused here but
+# stay importable: perfbench/layers.py traces them under this module.
 from .powerflow import (  # noqa: F401
     MetricSpec,
     PowerFlowEngine,
@@ -38,9 +33,9 @@ from .powerflow import (  # noqa: F401
     solve_power_flow,
 )
 from .reportio import atomic_write_text
-from .worstcase import RmssReport
+from .worstcase import RmssReport, _quantile, nominal_solution
 
-_Z95 = float(ndtri(0.975))
+_Z95 = _quantile(0.975)
 _MAX_FAILURE_RATE = 0.01  # beyond this the comparison is unrepresentative
 
 BLOCK_SIZE = 64  # samples per lockstep Newton block
@@ -72,32 +67,9 @@ class _Solved:
 
     metrics: np.ndarray  # (k, m), NaN rows for failed samples
     converged: np.ndarray  # (k,) bool
-    iterations: np.ndarray  # (k,) Newton iterations per sample, -1 for a singular Jacobian
+    iterations: np.ndarray  # (k,) Newton iterations per sample
     block_seconds: list[float]  # wall time of each block
     block_sizes: list[int]
-
-
-def _solve_rows(
-    engine: PowerFlowEngine,
-    p: np.ndarray,
-    q: np.ndarray,
-    start: PowerFlowSolution,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Converged flags, voltages and iterations of a block solved one row at a time.
-
-    A row whose Jacobian is singular fails, with iterations -1; every other
-    row gets bitwise the result its block would have given it.
-    """
-    ok = np.zeros(len(p), dtype=bool)
-    v = np.full((len(p), engine.n), np.nan, dtype=complex)
-    iterations = np.full(len(p), -1)
-    for r in range(len(p)):
-        try:
-            row = engine.solve(p[r : r + 1], q[r : r + 1], start=start)
-        except JacobianSingular:
-            continue
-        ok[r], v[r], iterations[r] = row.converged[0], row.v[0], row.iterations[0]
-    return ok, v, iterations
 
 
 def _solve_samples(
@@ -109,8 +81,7 @@ def _solve_samples(
 ) -> _Solved:
     """Solve consecutive samples block by block; injections and states exist per block only.
 
-    A block that raises :class:`JacobianSingular` is solved again row by
-    row, so only its singular rows fail.
+    A sample with a singular Jacobian fails alone, like one that diverges.
     """
     positions = metric_positions(engine.bus_ids, spec)
     inject = params.injector(engine.case)
@@ -124,15 +95,11 @@ def _solve_samples(
     for lo in range(0, len(samples), BLOCK_SIZE):
         t0 = time.perf_counter()
         block = slice(lo, lo + BLOCK_SIZE)
-        p, q = inject(samples[block])
-        try:
-            result = engine.solve(p, q, start=start)
-            ok, v, iterations = result.converged, result.v, result.iterations
-        except JacobianSingular:
-            ok, v, iterations = _solve_rows(engine, p, q, start)
-        out.metrics[block][ok] = np.abs(v[ok][:, positions])
+        result = engine.solve(*inject(samples[block]), start=start)
+        ok = result.converged
+        out.metrics[block][ok] = np.abs(result.v[ok][:, positions])
         out.converged[block] = ok
-        out.iterations[block] = iterations
+        out.iterations[block] = result.iterations
         out.block_seconds.append(time.perf_counter() - t0)
         out.block_sizes.append(len(ok))
     return out
@@ -290,9 +257,7 @@ def run_monte_carlo(
     t0 = time.perf_counter()
 
     engine = PowerFlowEngine(case)
-    nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
-    if not nominal.converged:
-        raise AllSamplesFailed("nominal power flow did not converge")
+    nominal = nominal_solution(engine, params)
 
     batch = sample_parameters(params, n, seed)
     n_blocks = -(-n // BLOCK_SIZE)
@@ -308,9 +273,7 @@ def run_monte_carlo(
             parts = list(pool.map(solve, chunks))
     metrics = np.concatenate([part.metrics for part in parts])
     converged = np.concatenate([part.converged for part in parts])
-    iterations = np.concatenate([part.iterations for part in parts])
-    # Singular samples (-1) are in failed_indices, not in the histogram.
-    iterations = np.bincount(iterations[iterations >= 0])
+    iterations = np.bincount(np.concatenate([part.iterations for part in parts]))
     block_seconds = [t for part in parts for t in part.block_seconds]
     block_sizes = [k for part in parts for k in part.block_sizes]
     per_solve = np.divide(block_seconds, block_sizes) if n else np.zeros(1)

@@ -106,6 +106,17 @@ class StochasticParameterSet:
         comps = case.component_map()
         return np.array([idx[comps[e.component].bus] for e in self.entries], dtype=int)
 
+    def pq_hosts(self, case: GridCase) -> np.ndarray:
+        """:meth:`bus_map`, refusing an entry whose host is not a PQ bus."""
+        buses = self.bus_map(case)
+        for label, i in zip(self.labels(), buses):
+            if case.buses[i].kind is not BusKind.PQ:
+                raise TopologyError(
+                    f"parameter {label} sits on non-PQ bus {case.buses[i].id}; "
+                    "re-tag the case so PV hosts are re-modeled as PQ"
+                )
+        return buses
+
     def injector(self, case: GridCase):
         """:meth:`injections` on ``case`` as a function of the (S, d) rows alone.
 
@@ -151,14 +162,8 @@ class StochasticParameterSet:
         forecast to deviate from). An optional correlation matrix turns
         the diagonal covariance into a full one.
         """
-        kind_of = {b.id: b.kind for b in case.buses}
         entries: list[ParameterEntry] = []
         for comp in case.essential_components():
-            if kind_of[comp.bus] is not BusKind.PQ:
-                raise TopologyError(
-                    f"essential component {comp.id} sits on non-PQ bus {comp.bus}; "
-                    "re-tag the case so PV hosts are re-modeled as PQ"
-                )
             for axis in axes:
                 mean = comp.p if axis is Axis.P else comp.q
                 if sigma_abs is not None:
@@ -180,4 +185,6 @@ class StochasticParameterSet:
                     f"correlation shape {corr.shape} does not match {len(entries)} parameters"
                 )
             sigma = corr * np.outer(stdevs, stdevs)
-        return cls(entries=tuple(entries), sigma=sigma)
+        params = cls(entries=tuple(entries), sigma=sigma)
+        params.pq_hosts(case)
+        return params

@@ -464,19 +464,21 @@ class PowerFlowEngine:
     ) -> np.ndarray:
         """Each row's Newton step J_r^-1 rhs_r.
 
-        Without ``replay`` every row is factored on its own. With it, all
+        Without ``replay`` (the flat start) every row is factored on its own,
+        and a singular row raises its :class:`JacobianSingular`. With it, all
         rows are factored at once along the replay's pivot sequence; a row
         whose replay meets a zero or non-finite pivot, or gives a non-finite
-        step, is factored on its own instead. Either way a singular row
-        raises the :class:`JacobianSingular` its own factorization raises.
+        step, is factored on its own instead, and if singular there too gets
+        a NaN step, which stops it alone as a failed row.
         """
         if replay is None:
-            step, redo = np.empty_like(rhs), range(len(rhs))
-        else:
-            step, bad = replay.solve(data, rhs)
-            redo = np.flatnonzero(bad)
-        for r in redo:
-            step[r] = self._factorize(data[r]).solve(rhs[r])
+            return np.array([self._factorize(d).solve(b) for d, b in zip(data, rhs)])
+        step, bad = replay.solve(data, rhs)
+        for r in np.flatnonzero(bad):
+            try:
+                step[r] = self._factorize(data[r]).solve(rhs[r])
+            except JacobianSingular:
+                step[r] = np.nan
         return step
 
     def _jacobian_data_at(
@@ -548,7 +550,8 @@ class PowerFlowEngine:
         A row stops when its mismatch meets the tolerance (converged), turns
         non-finite or exceeds the divergence limit, its state turns
         non-finite, or it reaches ``max_iter``; the others iterate on. From
-        a solved ``start`` the steps come from :meth:`_replay_at`'s LU.
+        a solved ``start`` the steps come from :meth:`_replay_at`'s LU and a
+        singular row fails alone; from the flat start a singular row raises.
         """
         opts = options or NewtonOptions()
         p, q = np.atleast_2d(p), np.atleast_2d(q)
@@ -652,7 +655,6 @@ def engine_for(case: GridCase | PowerFlowEngine) -> PowerFlowEngine:
 def solve_power_flow(
     case: GridCase | PowerFlowEngine,
     injections: tuple[np.ndarray, np.ndarray] | None = None,
-    start: PowerFlowSolution | None = None,
 ) -> PowerFlowSolution:
     """Newton power flow; deterministic for fixed inputs.
 
@@ -664,7 +666,7 @@ def solve_power_flow(
     """
     engine = engine_for(case)
     p, q = injections if injections is not None else engine.case_injections
-    return engine.solve(p, q, start).solution(0)
+    return engine.solve(p, q).solution(0)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    NonConvergence,
-    NotConverged,
-    TopologyError,
-    ZeroStep,
-)
-from .model import BusKind, GridCase
+from .exceptions import NonConvergence, NotConverged, ZeroStep
+from .model import GridCase
 from .parameters import Axis, StochasticParameterSet
 # build_admittance, evaluate_metrics and solve_power_flow are unused here but stay
 # importable: perfbench/layers.py traces them under this module.
@@ -71,18 +66,6 @@ class SensitivityMatrix:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _require_pq_parameters(case: GridCase, params: StochasticParameterSet) -> np.ndarray:
-    """Host bus position of each parameter; every host must be a PQ bus."""
-    buses = params.bus_map(case)
-    for entry, i in zip(params.entries, buses):
-        bus = case.buses[i]
-        if bus.kind is not BusKind.PQ:
-            raise TopologyError(
-                f"parameter {entry.component}.{entry.axis.value} sits on non-PQ bus {bus.id}"
-            )
-    return buses
-
-
 def adjoint_sensitivities(
     case: GridCase | PowerFlowEngine,
     sol: PowerFlowSolution,
@@ -100,7 +83,7 @@ def adjoint_sensitivities(
     if not sol.converged:
         raise NotConverged("adjoint analysis requires a converged solution")
     engine = engine_for(case)
-    buses = _require_pq_parameters(engine.case, params)
+    buses = params.pq_hosts(engine.case)
 
     e, f = sol.v.real, sol.v.imag
     d = e * e + f * f

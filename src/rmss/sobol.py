@@ -15,12 +15,13 @@ import numpy as np
 
 from .exceptions import ModelEvaluationError, RmssError
 from .parameters import StochasticParameterSet
+from .worstcase import _quantile
 
 # Batched evaluator: (n, d) parameter matrix -> (n,) or (n, m) metric values.
 ModelFn = Callable[[np.ndarray], np.ndarray]
 
 _N_BOOTSTRAP = 100
-_Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_Z95 = _quantile(0.975)  # two-sided 95% normal quantile
 
 
 @dataclass(frozen=True, eq=False)

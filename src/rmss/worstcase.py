@@ -35,6 +35,7 @@ from .parameters import StochasticParameterSet
 from .powerflow import (  # noqa: F401
     MetricSpec,
     PowerFlowEngine,
+    PowerFlowSolution,
     build_admittance,
     default_metric_spec,
     evaluate_metrics,
@@ -418,6 +419,19 @@ def _resolve_sigma_points(
     return "known", ABSOLUTE, [value], np.full((1, len(c_nom)), value)
 
 
+def nominal_solution(engine: PowerFlowEngine, params: StochasticParameterSet) -> PowerFlowSolution:
+    """The power flow at the parameter means, or :class:`NonConvergence` with its history."""
+    # Through this module's solve_power_flow, the name perfbench/layers.py traces.
+    sol = solve_power_flow(engine, injections=params.apply(engine.case, params.means))
+    if not sol.converged:
+        raise NonConvergence(
+            "nominal power flow did not converge "
+            f"(mismatch history: {[f'{m:.3e}' for m in sol.mismatch_history]})",
+            solution=sol,
+        )
+    return sol
+
+
 def run_rmss(
     case: GridCase,
     params: StochasticParameterSet,
@@ -441,13 +455,7 @@ def run_rmss(
     z = _quantile(rho)
 
     engine = PowerFlowEngine(case)
-    sol = solve_power_flow(engine, injections=params.apply(case, params.means))
-    if not sol.converged:
-        raise NonConvergence(
-            "nominal power flow did not converge "
-            f"(mismatch history: {[f'{m:.3e}' for m in sol.mismatch_history]})",
-            solution=sol,
-        )
+    sol = nominal_solution(engine, params)
     spec = spec if spec is not None else default_metric_spec(case)
     buses = spec.buses
     c_nom = evaluate_metrics(sol, spec)

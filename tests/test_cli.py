@@ -66,11 +66,16 @@ def test_run_missing_case_exits_3(runner, tmp_path):
     assert "nope_missing.m" in result.output
 
 
-def test_run_nominal_divergence_exits_2(runner, tmp_path):
+@pytest.mark.parametrize("args, out", [
+    (["run"], "."),
+    (["mc", "--samples", "10"], "."),
+    (["sensitivity"], "lambda.csv"),
+], ids=["run", "mc", "sensitivity"])
+def test_nominal_divergence_exits_2(runner, tmp_path, args, out):
     bad = tmp_path / "overload.m"
     bad.write_text(OVERLOADED)
     result = runner.invoke(main, [
-        "run", "--case", str(bad), "--essential", "all", "--out", str(tmp_path),
+        *args, "--case", str(bad), "--essential", "all", "--out", str(tmp_path / out),
     ])
     assert result.exit_code == 2
     assert "mismatch history" in result.output

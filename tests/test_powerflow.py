@@ -161,8 +161,9 @@ class TestSolver:
                 assert s_calc[i].imag == pytest.approx(q_spec[i], abs=1e-8)
 
     def test_flat_vs_warm_start_agree(self, case14):
-        cold = solve_power_flow(case14)
-        warm = solve_power_flow(case14, start=cold)
+        engine = PowerFlowEngine(case14)
+        cold = solve_power_flow(engine)
+        warm = engine.solve(*engine.case_injections, cold).solution(0)
         assert warm.converged
         assert np.max(np.abs(cold.v - warm.v)) < 10 * NewtonOptions().tolerance
 
@@ -295,10 +296,7 @@ class TestEngine:
         assert np.abs(s_calc.real - p[ok])[:, engine.nonslack].max() <= tol
         assert np.abs(s_calc.imag - q[ok])[:, engine.pq].max() <= tol
 
-        scalar = [
-            solve_power_flow(case, injections=params.apply(case, row), start=nominal)
-            for row in values
-        ]
+        scalar = [engine.solve(p[[r]], q[[r]], nominal).solution(0) for r in range(len(p))]
         scalar_failed = [i for i, sol in enumerate(scalar) if not sol.converged]
         assert scalar_failed  # the seed reaches the failure path
         assert np.flatnonzero(~ok).tolist() == scalar_failed
@@ -411,7 +409,7 @@ class TestEngine:
         assert np.array_equal(step[[0, 2]], replayed[[0, 2]])
         assert np.array_equal(step[1], splu(engine._jacobian(data[1])).solve(rhs[1]))
 
-    def test_singular_row_on_the_replay_path_raises_like_its_own_solve(self):
+    def test_singular_row_on_the_replay_path_fails_alone(self):
         # From the zero-injection solution (the flat state), p = -B, q = 0
         # at bus 2 makes the first Jacobian exactly singular.
         case = two_bus(p_load=0.0)
@@ -421,11 +419,19 @@ class TestEngine:
         b = engine.y[1, 1].imag
         p = np.array([[0.0, -0.5], [0.0, -b], [0.0, -0.2]])
         q = np.zeros_like(p)
-        with pytest.raises(JacobianSingular) as alone:
+        with pytest.raises(JacobianSingular):  # the flat start still raises
             PowerFlowEngine(case).solve(p[1], q[1])
-        with pytest.raises(JacobianSingular) as replayed:
-            engine.solve(p, q, start=start)
-        assert str(replayed.value) == str(alone.value)
+
+        block = engine.solve(p, q, start=start)
+        assert block.converged.tolist() == [True, False, True]
+        singular = block.solution(1)
+        assert singular.iterations == 1  # the step it could not take
+        assert singular.max_mismatch == np.inf
+        for r in (0, 2):
+            alone = engine.solve(p[[r]], q[[r]], start)
+            for name in ("v", "q_pv", "iterations", "history"):
+                want = getattr(alone, name)[0]
+                assert np.array_equal(getattr(block, name)[r], want, equal_nan=True), (r, name)
 
     @pytest.mark.parametrize("fixture, selector", [("case14", "all-solar"), ("case118", "all")])
     def test_chord_rows_independent_of_their_block(self, fixture, selector, request):

@@ -21,7 +21,7 @@ from rmss.exceptions import (
     ZeroStep,
 )
 from rmss.model import Bus, BusKind, GridCase, Load
-from rmss.parameters import Axis, StochasticParameterSet
+from rmss.parameters import Axis, ParameterEntry, StochasticParameterSet
 from rmss.sensitivity import (
     METHOD_ADJOINT,
     METHOD_NONLINEAR,
@@ -109,8 +109,14 @@ def test_parameters_must_sit_on_pq_buses(case14, case14_solution):
             replace(g, essential=(g.bus == 1)) for g in case14.generators
         ),
     )
-    with pytest.raises(TopologyError, match="non-PQ"):
+    with pytest.raises(TopologyError, match="non-PQ bus 1; re-tag"):
         StochasticParameterSet.from_case(case)
+    # The adjoint refuses a set built by hand by the same rule.
+    slack_gen = next(g for g in case14.generators if g.bus == 1)
+    entry = ParameterEntry(slack_gen.id, Axis.P, slack_gen.p, 0.01)
+    params = StochasticParameterSet((entry,), np.array([[1e-4]]))
+    with pytest.raises(TopologyError, match="non-PQ bus 1; re-tag"):
+        adjoint_sensitivities(case14, case14_solution, params, MetricSpec.voltages_at([14]))
 
 
 def test_fd_zero_step_rejected(two_bus_setup):
