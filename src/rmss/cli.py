@@ -78,13 +78,19 @@ def _load_case(case: str, essential: str | None) -> GridCase:
 
 
 def _parse_percent(text: str) -> tuple[float, bool]:
-    """Value plus whether it carried a % suffix (fraction-of-nominal units)."""
+    """Value plus whether it carried a % suffix (fraction-of-nominal units).
+
+    The one parser of the numeric flags. It refuses what is not a finite
+    number; each range rule lives with the library code that uses the value.
+    """
     t = text.strip()
     is_frac = t.endswith("%")
     try:
         value = float(t[:-1] if is_frac else t)
     except ValueError:
-        raise ConfigError(f"not a number or percentage: {text!r}")
+        value = np.nan  # not a number at all: refused with the non-finite ones
+    if not np.isfinite(value):
+        raise ConfigError(f"not a finite number or percentage: {text!r}")
     return (value / 100.0 if is_frac else value), is_frac
 
 
@@ -92,8 +98,6 @@ def _load_inputs(case, essential, axes, sigma_p, correlation, metrics):
     """The case, its parameter model and the metric spec from the shared input options."""
     grid = _load_case(case, essential)
     value, is_frac = _parse_percent(sigma_p)
-    if value < 0:
-        raise ConfigError(f"--sigma-p must be nonnegative, got {sigma_p}")
     axis_map = {"p": (Axis.P,), "q": (Axis.Q,), "pq": (Axis.P, Axis.Q)}
     corr = None
     if correlation:
@@ -147,14 +151,7 @@ def _parse_sweep_spec(spec: str) -> SweepGrid:
     if count < 1 or lo <= 0 or hi <= lo and count > 1:
         raise ConfigError(f"bad sweep spec {spec!r}")
     values = np.geomspace(lo, hi, count) if count > 1 else np.array([lo])
-    return _sweep_grid(values, FRACTION if lo_frac else ABSOLUTE)
-
-
-def _sweep_grid(values, unit: str) -> SweepGrid:
-    try:
-        return SweepGrid(tuple(values), unit)
-    except ValueError as exc:
-        raise ConfigError(f"bad sigma grid: {exc}")
+    return SweepGrid(tuple(values), FRACTION if lo_frac else ABSOLUTE)
 
 
 def _resolve_sigma_c(sigma_c: str | None, sweep: str | None):
@@ -164,9 +161,7 @@ def _resolve_sigma_c(sigma_c: str | None, sweep: str | None):
         if sigma_c in ("auto", PROPAGATED):
             return PROPAGATED
         value, is_frac = _parse_percent(sigma_c)
-        if value < 0:
-            raise ConfigError(f"--sigma-c must be nonnegative, got {sigma_c}")
-        return _sweep_grid((value,), FRACTION) if is_frac else value
+        return SweepGrid((value,), FRACTION) if is_frac else value
     if sweep:
         return _parse_sweep_spec(sweep)
     return None  # default sweep
@@ -176,10 +171,7 @@ def _resolve_limits(limits: str):
     if limits == "case":
         return "case"
     if limits.startswith("band:"):
-        value, _ = _parse_percent(limits[len("band:"):])
-        if value <= 0:
-            raise ConfigError(f"band must be positive, got {limits!r}")
-        return value
+        return _parse_percent(limits[len("band:"):])[0]
     raise ConfigError(f"--limits must be 'case' or 'band:<pct>', got {limits!r}")
 
 

@@ -1,11 +1,12 @@
 """MATPOWER-style ``.m`` case ingest and export.
 
-Only the columns this package consumes are interpreted; anything else in
-the file is ignored. Out-of-service branches and generators are dropped
-at parse time. Loads become negative injections, one per bus carrying
-demand. Bus shunts (``Gs``, ``Bs``, MW and MVAr at 1 pu voltage) become
-per-unit admittances. Generator fuel tags come from the optional
-``mpc.genfuel`` cell array.
+Only the columns this package consumes are interpreted, and each must
+hold a finite number; anything else in the file is ignored.
+Out-of-service branches and generators are dropped at parse time. Loads
+become negative injections, one per bus carrying demand. Bus shunts
+(``Gs``, ``Bs``, MW and MVAr at 1 pu voltage) become per-unit
+admittances. Generator fuel tags come from the optional ``mpc.genfuel``
+cell array.
 """
 
 from __future__ import annotations
@@ -99,6 +100,9 @@ def _require_cols(rows: list[tuple[int, list[float]]], cols: dict[str, int], tab
                 f"mpc.{table} row at line {line} has {len(row)} columns; "
                 f"missing required column(s) {missing}"
             )
+        bad = [c for c, i in cols.items() if not math.isfinite(row[i])]
+        if bad:
+            raise ParseError(f"mpc.{table} column(s) {bad} not a finite number", line=line)
 
 
 def parse_case(path: str | Path) -> GridCase:
@@ -116,8 +120,8 @@ def parse_case(path: str | Path) -> GridCase:
         raise ParseError(
             f"bad baseMVA value {m.group(1)!r}", line=text.count("\n", 0, m.start()) + 1
         )
-    if base_mva <= 0:
-        raise SchemaError(f"baseMVA must be positive, got {base_mva}")
+    if not 0 < base_mva < math.inf:
+        raise SchemaError(f"baseMVA must be positive and finite, got {base_mva}")
 
     bus_rows = _parse_matrix(text, "bus")
     gen_rows = _parse_matrix(text, "gen")

@@ -238,20 +238,8 @@ def validate_case(case: GridCase) -> ValidationReport:
         if c.bus not in ids:
             entries.append(ValidationIssue("error", c.id, f"references missing bus {c.bus}"))
             continue
-        if c.essential:
-            if kind_of[c.bus] is BusKind.SLACK:
-                entries.append(
-                    ValidationIssue("error", c.id, "essential component on the slack bus")
-                )
-            elif kind_of[c.bus] is BusKind.PV:
-                entries.append(
-                    ValidationIssue(
-                        "warning",
-                        c.id,
-                        f"essential component on PV bus {c.bus}; "
-                        "re-model the bus as a PQ injection at its dispatch point",
-                    )
-                )
+        if c.essential and kind_of[c.bus] is BusKind.SLACK:
+            entries.append(ValidationIssue("error", c.id, "essential component on the slack bus"))
 
     return ValidationReport(tuple(entries))
 

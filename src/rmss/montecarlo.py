@@ -18,7 +18,9 @@ from functools import partial
 
 import numpy as np
 
-from .exceptions import AllSamplesFailed, DimensionMismatch, ExcessiveFailureRate, SchemaError
+from .exceptions import (
+    AllSamplesFailed, ConfigError, DimensionMismatch, ExcessiveFailureRate, SchemaError
+)
 from .model import GridCase
 from .parameters import StochasticParameterSet
 # build_admittance, evaluate_metrics and solve_power_flow are unused here but
@@ -54,7 +56,7 @@ class SampleBatch:
 def sample_parameters(params: StochasticParameterSet, n: int, seed: int) -> SampleBatch:
     """Draw n joint samples via a symmetric factor of the covariance."""
     if n < 0:
-        raise ValueError(f"sample count must be nonnegative, got {n}")
+        raise ConfigError(f"sample count must be nonnegative, got {n}")
     factor = params.factor()
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, len(params)))
@@ -138,7 +140,7 @@ class McReport:
     def samples_to_csv(self, path) -> None:
         """Per-sample metric values for external analysis (NaN = failed solve)."""
         if self.metric_samples is None:
-            raise ValueError("run with keep_samples=True to retain per-sample metrics")
+            raise ConfigError("run with keep_samples=True to retain per-sample metrics")
         header = "sample," + ",".join(f"bus{b}" for b in self.metric_buses)
         lines = [header]
         for i, row in enumerate(self.metric_samples):

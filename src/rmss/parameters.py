@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .exceptions import NotPSD, TopologyError
+from .exceptions import ConfigError, NotPSD, TopologyError
 from .model import BusKind, GridCase
 
 
@@ -68,6 +68,17 @@ class StochasticParameterSet:
     stdevs: np.ndarray = field(init=False, repr=False)  # (d,) entry stdevs, read-only
 
     def __post_init__(self):
+        for name in ("mean", "stdev"):
+            values = np.array([getattr(e, name) for e in self.entries])
+            values.flags.writeable = False
+            object.__setattr__(self, name + "s", values)
+        bad = ~(np.isfinite(self.means) & (0 <= self.stdevs) & (self.stdevs < np.inf))
+        if bad.any():
+            e = self.entries[int(np.argmax(bad))]
+            raise ConfigError(
+                f"parameter {e.component}.{e.axis.value} needs a finite mean and a finite "
+                f"nonnegative stdev, got mean {e.mean}, stdev {e.stdev}"
+            )
         sig = np.asarray(self.sigma, dtype=float)
         object.__setattr__(self, "sigma", sig)
         if sig.shape != (len(self.entries), len(self.entries)):
@@ -75,10 +86,6 @@ class StochasticParameterSet:
                 f"covariance shape {sig.shape} does not match {len(self.entries)} entries"
             )
         _check_psd(sig)
-        for name in ("mean", "stdev"):
-            values = np.array([getattr(e, name) for e in self.entries])
-            values.flags.writeable = False
-            object.__setattr__(self, name + "s", values)
         if not np.allclose(np.diag(sig), self.stdevs**2, rtol=1e-9, atol=1e-15):
             raise NotPSD("covariance diagonal must equal entry stdevs squared")
 

@@ -21,7 +21,6 @@ from .exceptions import (
     JacobianSingular,
     NotConverged,
     SingularityWarning,
-    TopologyError,
     UnknownBus,
 )
 from .model import BusKind, GridCase
@@ -287,9 +286,7 @@ class PowerFlowEngine:
         self.bus_ids = tuple(b.id for b in case.buses)
         self.y = build_admittance(case)
         kinds = [b.kind for b in case.buses]
-        if BusKind.SLACK not in kinds:
-            raise TopologyError("case has no slack bus")
-        self.slack = kinds.index(BusKind.SLACK)
+        self.slack = case.buses.index(case.slack)
         self.pv = np.array([i for i, k in enumerate(kinds) if k is BusKind.PV], dtype=int)
         self.pq = np.array([i for i, k in enumerate(kinds) if k is BusKind.PQ], dtype=int)
         self.nonslack = np.array([i for i in range(n) if i != self.slack], dtype=int)

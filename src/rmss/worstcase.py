@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .exceptions import (
+    ConfigError,
     DegenerateDirection,
     InvalidProbability,
     MissingLimits,
@@ -108,12 +109,12 @@ class SweepGrid:
 
     def __post_init__(self):
         if self.unit not in (FRACTION, ABSOLUTE):
-            raise ValueError(f"unknown sweep unit {self.unit!r}")
+            raise ConfigError(f"unknown sweep unit {self.unit!r}")
         vals = tuple(float(v) for v in self.values)
-        if not vals or any(v <= 0 for v in vals):
-            raise ValueError("sweep values must be positive")
+        if not vals or not all(0 < v < np.inf for v in vals):
+            raise ConfigError(f"sigma grid values must be positive and finite, got {vals}")
         if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("sweep values must be strictly increasing")
+            raise ConfigError(f"sigma grid values must be strictly increasing, got {vals}")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -206,6 +207,8 @@ def limit_arrays(
         }
     if not isinstance(limits, dict):
         band = float(limits)
+        if not 0 < band < np.inf:
+            raise ConfigError(f"limit band must be positive and finite, got {band}")
         return c_nom * (1 - band), c_nom * (1 + band)
     missing = [b for b in buses if b not in limits]
     if missing:
@@ -407,15 +410,15 @@ def _resolve_sigma_points(
         sigma_c = SweepGrid.default()
     if isinstance(sigma_c, str):
         if sigma_c != PROPAGATED:
-            raise ValueError(f"unknown sigma_c mode {sigma_c!r}")
+            raise ConfigError(f"unknown sigma_c mode {sigma_c!r}")
         return PROPAGATED, ABSOLUTE, [PROPAGATED], propagated_abs[None, :]
     if isinstance(sigma_c, SweepGrid):
         mode = "sweep" if len(sigma_c.values) > 1 else "known"
         scale = c_nom if sigma_c.unit == FRACTION else np.ones_like(c_nom)
         return mode, sigma_c.unit, list(sigma_c.values), np.outer(sigma_c.values, scale)
     value = float(sigma_c)
-    if value < 0:
-        raise ValueError(f"sigma_c must be nonnegative, got {value}")
+    if not 0 <= value < np.inf:
+        raise ConfigError(f"sigma_c must be nonnegative and finite, got {value}")
     return "known", ABSOLUTE, [value], np.full((1, len(c_nom)), value)
 
 

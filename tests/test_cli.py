@@ -89,6 +89,44 @@ def test_run_conflicting_sigma_flags_exit_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("flag", [
+    ["--sigma-c", "nan"],
+    ["--sigma-c", "inf"],
+    ["--sweep", "nan%:5%:3"],
+    ["--limits", "band:nan%"],
+    ["--sigma-p", "inf%"],
+], ids=["sigma-c-nan", "sigma-c-inf", "sweep-nan", "band-nan", "sigma-p-inf"])
+def test_run_nonfinite_number_exits_3_without_a_report(runner, tmp_path, flag):
+    result = runner.invoke(main, [
+        "run", "--case", "case2", "--essential", "all", *flag, "--out", str(tmp_path),
+    ])
+    assert result.exit_code == 3, result.output
+    assert "finite" in result.output
+    assert not (tmp_path / "rmss_report.json").exists()
+
+
+def test_mc_nonfinite_sigma_p_exits_3(runner, tmp_path):
+    result = runner.invoke(main, [
+        "mc", "--case", "case2", "--essential", "all", "--sigma-p", "inf%", "--samples", "10",
+        "--out", str(tmp_path),
+    ])
+    assert result.exit_code == 3, result.output
+    assert "finite" in result.output
+    assert not (tmp_path / "mc_report.json").exists()
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run", "--essential", "all"]],
+                         ids=["validate", "run"])
+def test_nonfinite_case_column_exits_3(runner, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)  # where `run` writes its reports by default
+    bad = tmp_path / "nan_load.m"
+    bad.write_text(OVERLOADED.replace("  2 1 600 ", "  2 1 nan "))
+    result = runner.invoke(main, [*command, "--case", str(bad)])
+    assert result.exit_code == 3, result.output
+    assert "['Pd'] not a finite number" in result.output
+    assert not (tmp_path / "rmss_report.json").exists()
+
+
 def test_run_band_limits_accepted(runner, tmp_path):
     result = runner.invoke(main, [
         "run", "--case", "case14_stoch", "--essential", "all-solar",

@@ -68,6 +68,20 @@ def test_zero_slack_is_topology_error(tmp_path):
         parse_case(write_tmp(tmp_path, bad))
 
 
+@pytest.mark.parametrize("row, bad_row, line, column", [
+    ("2 1 100 0", "2 1 nan 0", 6, "Pd"),
+    ("1 2 0.01 0.1 0 0 0 0 0 0 1", "1 2 0.01 0.1 0 0 0 0 NaN 0 1", 12, "ratio"),
+    ("1 2 0.01 0.1 0 0 0 0 0 0 1", "1 2 0.01 Inf 0 0 0 0 0 0 1", 12, "x"),
+], ids=["Pd-nan", "ratio-nan", "x-inf"])
+def test_nonfinite_value_in_a_read_column_is_parse_error(tmp_path, row, bad_row, line, column):
+    bad = MINIMAL.replace(row, bad_row)
+    assert bad != MINIMAL
+    with pytest.raises(ParseError, match=rf"^line {line}: .*\['{column}'\]"):
+        parse_case(write_tmp(tmp_path, bad))
+    # a column the parser ignores (gen Qmax, Qmin) may still hold Inf
+    parse_case(write_tmp(tmp_path, MINIMAL.replace("1 0 0 999 -999", "1 0 0 Inf -Inf")))
+
+
 def test_duplicate_bus_id_rejected(tmp_path):
     bad = MINIMAL.replace("2 1 100", "1 1 100")
     with pytest.raises(TopologyError, match="duplicate"):
@@ -90,6 +104,13 @@ def test_missing_column_is_schema_error(tmp_path):
 def test_missing_basemva_is_schema_error(tmp_path):
     bad = MINIMAL.replace("mpc.baseMVA = 100;", "")
     with pytest.raises(SchemaError, match="baseMVA"):
+        parse_case(write_tmp(tmp_path, bad))
+
+
+@pytest.mark.parametrize("value", ["0", "-100", "NaN", "Inf"])
+def test_basemva_must_be_positive_and_finite(tmp_path, value):
+    bad = MINIMAL.replace("mpc.baseMVA = 100;", f"mpc.baseMVA = {value};")
+    with pytest.raises(SchemaError, match="baseMVA must be positive and finite"):
         parse_case(write_tmp(tmp_path, bad))
 
 

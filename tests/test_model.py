@@ -77,19 +77,6 @@ def test_essential_pv_host_remodeled_as_pq():
     assert tagged.generators[0].q == 0.05
 
 
-def test_validate_flags_essential_on_pv_before_remodel():
-    case = _pv_host_case()
-    case = GridCase(
-        base_mva=case.base_mva,
-        buses=case.buses,
-        branches=case.branches,
-        generators=(Generator("g1", 2, 0.3, 0.05, essential=True, fuel_tag="solar"),),
-        loads=(),
-    )
-    report = validate_case(case)
-    assert any("re-model" in e.message for e in report.entries)
-
-
 def test_validate_well_formed_is_empty(case14):
     assert validate_case(case14).ok
 

@@ -15,6 +15,7 @@ from rmss import (
     tag_essential,
 )
 from rmss.exceptions import (
+    ConfigError,
     DimensionMismatch,
     ExcessiveFailureRate,
     NonConvergence,
@@ -75,6 +76,26 @@ class TestSampling:
         mean, stdev, n = 0.5, 0.02, 10_000
         batch = sample_parameters(pset([mean], [stdev]), n, seed=5)
         assert abs(batch.values.mean() - mean) <= 4 * stdev / np.sqrt(n)
+
+    def test_negative_sample_count_rejected(self):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            sample_parameters(pset([0.5], [0.01]), -1, 0)
+
+    @pytest.mark.parametrize(
+        "mean, stdev", [(np.nan, 0.01), (np.inf, 0.01), (0.5, np.nan), (0.5, np.inf), (0.5, -0.01)]
+    )
+    def test_entry_moments_must_be_finite_and_stdev_nonnegative(self, mean, stdev):
+        # a hand-built set is refused by the same rule as one from from_case
+        with pytest.raises(ConfigError, match="parameter g2.P"):
+            pset([0.4, mean], [0.01, stdev])
+
+    @pytest.mark.parametrize(
+        "spread", [{"sigma_frac": -0.02}, {"sigma_abs": -0.01}, {"sigma_frac": np.nan}]
+    )
+    def test_from_case_refuses_a_negative_or_nonfinite_spread(self, two_bus_stochastic, spread):
+        case, _ = two_bus_stochastic
+        with pytest.raises(ConfigError, match="parameter l1.P"):
+            StochasticParameterSet.from_case(case, **spread)
 
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(NotPSD):
@@ -162,6 +183,12 @@ class TestRunMonteCarlo:
         assert mixed.newton_iterations == want
         for stat in ("metric_mean", "metric_stdev", "metric_ci_lb", "metric_ci_ub"):
             assert np.array_equal(getattr(mixed, stat), getattr(alone, stat))
+
+    def test_sample_csv_needs_kept_samples(self, two_bus_stochastic, tmp_path):
+        case, params = two_bus_stochastic
+        mc = run_monte_carlo(case, params, MetricSpec.voltages_at([2]), n=10, seed=0)
+        with pytest.raises(ConfigError, match="keep_samples=True"):
+            mc.samples_to_csv(tmp_path / "samples.csv")
 
     def test_runtime_accounting(self, two_bus_stochastic):
         case, params = two_bus_stochastic

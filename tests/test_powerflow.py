@@ -19,7 +19,9 @@ from rmss import (
     solve_power_flow,
     tag_essential,
 )
-from rmss.exceptions import JacobianSingular, NotConverged, SingularityWarning, UnknownBus
+from rmss.exceptions import (
+    JacobianSingular, NotConverged, SingularityWarning, TopologyError, UnknownBus
+)
 from rmss.model import Branch, Bus, BusKind, GridCase, Load
 from rmss.powerflow import PowerFlowSolution
 
@@ -263,6 +265,12 @@ def _stochastic(case, selector):
 
 
 class TestEngine:
+    def test_two_slack_buses_are_refused(self):
+        base = two_bus()
+        second = replace(base.buses[1], kind=BusKind.SLACK, v_setpoint=1.02, angle_setpoint=0.0)
+        with pytest.raises(TopologyError, match="one slack bus, found 2"):
+            PowerFlowEngine(replace(base, buses=(base.buses[0], second)))
+
     @pytest.mark.parametrize("fixture, selector", [("case14", "all-solar"), ("case118", "all")])
     def test_sample_state_independent_of_its_block(self, fixture, selector, request):
         case, params = _stochastic(request.getfixturevalue(fixture), selector)

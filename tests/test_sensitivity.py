@@ -99,23 +99,24 @@ def test_adjoint_requires_converged_solution(two_bus_setup):
         adjoint_sensitivities(case, bad, params, spec)
 
 
-def test_parameters_must_sit_on_pq_buses(case14, case14_solution):
-    # essential flag forced onto the slack generator without re-tagging
+@pytest.mark.parametrize("host", [1, 2], ids=["slack", "pv"])
+def test_parameters_must_sit_on_pq_buses(case14, case14_solution, host):
+    # essential flag forced onto the host bus's generator without re-tagging
     from dataclasses import replace
 
     case = replace(
         case14,
         generators=tuple(
-            replace(g, essential=(g.bus == 1)) for g in case14.generators
+            replace(g, essential=(g.bus == host)) for g in case14.generators
         ),
     )
-    with pytest.raises(TopologyError, match="non-PQ bus 1; re-tag"):
+    with pytest.raises(TopologyError, match=f"non-PQ bus {host}; re-tag"):
         StochasticParameterSet.from_case(case)
     # The adjoint refuses a set built by hand by the same rule.
-    slack_gen = next(g for g in case14.generators if g.bus == 1)
-    entry = ParameterEntry(slack_gen.id, Axis.P, slack_gen.p, 0.01)
+    gen = next(g for g in case14.generators if g.bus == host)
+    entry = ParameterEntry(gen.id, Axis.P, gen.p, 0.01)
     params = StochasticParameterSet((entry,), np.array([[1e-4]]))
-    with pytest.raises(TopologyError, match="non-PQ bus 1; re-tag"):
+    with pytest.raises(TopologyError, match=f"non-PQ bus {host}; re-tag"):
         adjoint_sensitivities(case14, case14_solution, params, MetricSpec.voltages_at([14]))
 
 

@@ -19,7 +19,9 @@ from rmss import (
     tag_essential,
     worst_case_parameters,
 )
-from rmss.exceptions import DegenerateDirection, InvalidProbability, MissingLimits, SchemaError
+from rmss.exceptions import (
+    ConfigError, DegenerateDirection, InvalidProbability, MissingLimits, SchemaError
+)
 from rmss.parameters import Axis, ParameterEntry, StochasticParameterSet
 from rmss.reportio import write_json
 from rmss.sensitivity import adjoint_sensitivities
@@ -81,8 +83,9 @@ class TestWorstCaseMetric:
 
     def test_negative_sigma_rejected(self, two_bus_stochastic):
         case, params = two_bus_stochastic
-        with pytest.raises(ValueError, match="nonnegative"):
-            run_rmss(case, params, sigma_c=-0.01)
+        for sigma_c in (-0.01, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="nonnegative and finite"):
+                run_rmss(case, params, sigma_c=sigma_c)
 
 
 class TestWorstCaseParameters:
@@ -186,13 +189,12 @@ class TestSweepGrid:
         assert grid.unit == FRACTION
 
     def test_rejects_unsorted_or_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="increasing"):
             SweepGrid((0.01, 0.005))
-        with pytest.raises(ValueError):
-            SweepGrid((0.0, 0.01))
-        with pytest.raises(ValueError):
-            SweepGrid((), FRACTION)
-        with pytest.raises(ValueError):
+        for values in ((0.0, 0.01), (), (math.nan,), (0.01, math.nan), (0.01, math.inf)):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                SweepGrid(values, FRACTION)
+        with pytest.raises(ConfigError, match="unit"):
             SweepGrid((0.01,), unit="percentish")
 
 
@@ -333,6 +335,12 @@ def two_bus_stochastic():
 
 
 class TestRunRmss:
+    @pytest.mark.parametrize("band", [-0.02, 0.0, math.nan, math.inf])
+    def test_band_limits_must_be_positive_and_finite(self, two_bus_stochastic, band):
+        case, params = two_bus_stochastic
+        with pytest.raises(ConfigError, match="band must be positive and finite"):
+            run_rmss(case, params, limits=band)
+
     def test_zero_sigma_degenerates_to_nominal(self, two_bus_stochastic):
         case, params = two_bus_stochastic
         report = run_rmss(case, params, sigma_c=0.0)
