@@ -1,12 +1,16 @@
 """Seeded Monte Carlo power-flow oracle and accuracy/runtime comparison.
 
-Samples are drawn once up front from the seeded generator and solved in
-fixed blocks of ``BLOCK_SIZE`` consecutive samples, each block as one
-lockstep Newton run of the case's power-flow engine. Workers receive whole
-blocks, and each sample's solve is a pure function of (case, sample), so
-the worker count cannot change a single bit of the statistics. A sample
-that diverges or meets a singular Jacobian fails alone: it is in
-``failed_indices``, and in the iteration histogram at its stop.
+Samples are drawn once up front from the seeded generator. Each worker
+solves a contiguous run of whole blocks of ``BLOCK_SIZE`` consecutive
+samples in one lockstep Newton run of the case's power-flow engine: the
+first block starts at once, and before each iteration in which fewer
+than ``BLOCK_SIZE`` rows would step the next block joins them, so a slow
+or failing sample steps alongside fresh ones. Each sample's solve is a pure function of
+(case, sample), whatever rows it steps with, so the worker count cannot
+change a single bit of the statistics. A sample that diverges or meets a
+singular Jacobian fails alone: it is in ``failed_indices``, and in the
+iteration histogram at its stop. Blocks overlap, so a block's wall time
+runs from the previous block's last row stopping to its own.
 """
 
 from __future__ import annotations
@@ -81,29 +85,41 @@ def _solve_samples(
     samples: np.ndarray,
     start: PowerFlowSolution,
 ) -> _Solved:
-    """Solve consecutive samples block by block; injections and states exist per block only.
+    """Solve consecutive samples in one refilled lockstep run from ``start``.
 
-    A sample with a singular Jacobian fails alone, like one that diverges.
+    The samples enter :meth:`PowerFlowEngine.solve_blocks` one block of
+    ``BLOCK_SIZE`` at a time, and a block's injections and states are
+    built only when it is admitted: whenever fewer than a block's worth of
+    rows still iterate. Each row that stops has its metrics, converged flag
+    and iteration count written at its sample index. A sample with a
+    singular Jacobian fails alone, like one that diverges.
+
+    Blocks overlap, so a block's time is the wall time from the previous
+    block's last row stopping to its own (blocks finishing together share
+    that time); the times sum to the whole solve.
     """
     positions = metric_positions(engine.bus_ids, spec)
     inject = params.injector(engine.case)
+    starts = np.arange(0, len(samples), BLOCK_SIZE)
     out = _Solved(
         metrics=np.full((len(samples), len(spec)), np.nan),
         converged=np.zeros(len(samples), dtype=bool),
         iterations=np.zeros(len(samples), dtype=int),
         block_seconds=[],
-        block_sizes=[],
+        block_sizes=np.diff([*starts, len(samples)]).tolist(),
     )
-    for lo in range(0, len(samples), BLOCK_SIZE):
-        t0 = time.perf_counter()
-        block = slice(lo, lo + BLOCK_SIZE)
-        result = engine.solve(*inject(samples[block]), start=start)
-        ok = result.converged
-        out.metrics[block][ok] = np.abs(result.v[ok][:, positions])
-        out.converged[block] = ok
-        out.iterations[block] = result.iterations
-        out.block_seconds.append(time.perf_counter() - t0)
-        out.block_sizes.append(len(ok))
+    stopped_at = np.empty(len(samples))  # wall time at which each sample stopped
+    t0 = time.perf_counter()
+    blocks = (inject(samples[lo : lo + BLOCK_SIZE]) for lo in starts)
+    for rows, part in engine.solve_blocks(blocks, start=start):
+        ok = part.converged
+        out.metrics[rows[ok]] = np.abs(part.v[ok][:, positions])
+        out.converged[rows] = ok
+        out.iterations[rows] = part.iterations
+        stopped_at[rows] = time.perf_counter()
+    finished = np.maximum.reduceat(stopped_at, starts)  # each block's last stop
+    times, at, together = np.unique(finished, return_inverse=True, return_counts=True)
+    out.block_seconds = (np.diff(times, prepend=t0)[at] / together[at]).tolist()
     return out
 
 
@@ -254,7 +270,8 @@ def run_monte_carlo(
     """One deterministic solve per sample; statistics over converged solves.
 
     Statistics depend only on (seed, n, params, case): the worker count
-    merely decides which process solves each fixed block of samples.
+    merely decides which process solves each fixed block of samples, and
+    the rows a sample steps with change none of its bits.
     """
     t0 = time.perf_counter()
 

@@ -29,6 +29,10 @@ class ParameterEntry:
     mean: float  # pu
     stdev: float  # pu
 
+    @property
+    def label(self) -> str:
+        return f"{self.component}.{self.axis.value}"
+
 
 def _check_psd(matrix: np.ndarray) -> None:
     """Symmetric-factorization PSD check (Cholesky, then eigenvalue fallback)."""
@@ -45,6 +49,31 @@ def _check_psd(matrix: np.ndarray) -> None:
     floor = -1e-10 * max(1.0, float(np.max(np.abs(eigvals))))
     if eigvals.min() < floor:
         raise NotPSD(f"covariance has negative eigenvalue {eigvals.min():.3e}")
+
+
+# How far a correlation matrix's diagonal may sit from 1, its entries beyond
+# [-1, 1] and their transposes from each other: a rounded np.corrcoef passes.
+_CORRELATION_TOL = 1e-12
+
+
+def _check_correlation(corr: np.ndarray, labels: list[str]) -> None:
+    """Refuse a correlation matrix naming the first bad entry's two parameters.
+
+    Every entry must be finite and in [-1, 1], the diagonal 1 and the
+    matrix symmetric, each up to ``_CORRELATION_TOL``.
+    """
+    rules = (
+        (~(np.abs(corr) <= 1.0 + _CORRELATION_TOL), "a finite number in [-1, 1]"),
+        (np.diag(np.abs(np.diag(corr) - 1.0) > _CORRELATION_TOL), "1 on the diagonal"),
+        (np.abs(corr - corr.T) > _CORRELATION_TOL, "equal to its transposed entry"),
+    )
+    for bad, rule in rules:
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ConfigError(
+                f"correlation entry ({labels[i]}, {labels[j]}) is {float(corr[i, j])!r}; "
+                f"it must be {rule}"
+            )
 
 
 def _inject(
@@ -76,7 +105,7 @@ class StochasticParameterSet:
         if bad.any():
             e = self.entries[int(np.argmax(bad))]
             raise ConfigError(
-                f"parameter {e.component}.{e.axis.value} needs a finite mean and a finite "
+                f"parameter {e.label} needs a finite mean and a finite "
                 f"nonnegative stdev, got mean {e.mean}, stdev {e.stdev}"
             )
         sig = np.asarray(self.sigma, dtype=float)
@@ -93,7 +122,7 @@ class StochasticParameterSet:
         return len(self.entries)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(f"{e.component}.{e.axis.value}" for e in self.entries)
+        return tuple(e.label for e in self.entries)
 
     def factor(self) -> np.ndarray:
         """Symmetric factor L with L @ L.T = sigma (Cholesky or eigen fallback)."""
@@ -167,7 +196,9 @@ class StochasticParameterSet:
         magnitude; pass ``sigma_abs`` for a common absolute value instead.
         Zero-mean axes are skipped when sizing by fraction (they carry no
         forecast to deviate from). An optional correlation matrix turns
-        the diagonal covariance into a full one.
+        the diagonal covariance into a full one; an entry that is not
+        finite, lies outside [-1, 1], breaks symmetry or is a diagonal
+        other than 1 is refused with its two parameter labels.
         """
         entries: list[ParameterEntry] = []
         for comp in case.essential_components():
@@ -191,6 +222,7 @@ class StochasticParameterSet:
                 raise NotPSD(
                     f"correlation shape {corr.shape} does not match {len(entries)} parameters"
                 )
+            _check_correlation(corr, [e.label for e in entries])
             sigma = corr * np.outer(stdevs, stdevs)
         params = cls(entries=tuple(entries), sigma=sigma)
         params.pq_hosts(case)

@@ -275,9 +275,13 @@ class PowerFlowEngine:
     Jacobian. From a flat start each Jacobian is factored on its own; from
     a solved start all of them are factored at once along one replayed
     pivot sequence (:class:`_ReplayLU`), taken from that start alone.
-    Either way a sample's iterates do not depend on the block it is solved
-    in. :meth:`chord_solve` and :meth:`solve_transposed` instead reuse one
-    factorization at an already solved state.
+    Either way a sample's iterates do not depend on the rows it is solved
+    with. :meth:`solve_blocks` runs the same lockstep over a stream of
+    blocks: each row counts its own iterations, and before an iteration in
+    which fewer rows would step than the last admitted block held, the
+    next block joins them, so a slow or failing row steps alongside fresh
+    ones instead of alone. :meth:`chord_solve` and :meth:`solve_transposed`
+    instead reuse one factorization at an already solved state.
     """
 
     def __init__(self, case: GridCase):
@@ -288,6 +292,7 @@ class PowerFlowEngine:
         kinds = [b.kind for b in case.buses]
         self.slack = case.buses.index(case.slack)
         self.pv = np.array([i for i, k in enumerate(kinds) if k is BusKind.PV], dtype=int)
+        self.pv_ids = tuple(self.bus_ids[i] for i in self.pv)
         self.pq = np.array([i for i, k in enumerate(kinds) if k is BusKind.PQ], dtype=int)
         self.nonslack = np.array([i for i in range(n) if i != self.slack], dtype=int)
         self.dim = 2 * n + len(self.pv)
@@ -518,9 +523,12 @@ class PowerFlowEngine:
         opts = options or NewtonOptions()
         p, q = np.atleast_2d(p), np.atleast_2d(q)
         lu = self._factorize(self._jacobian_data_at(start, *base))
-        result = self._lockstep(
-            self._initial_states(q, start), p, q,
-            lambda e, f, q_eff, p, rhs: lu.solve(rhs.T).T, CHORD_STEPS, opts,
+        result = self._gather(
+            self._lockstep(
+                [(self._initial_states(q, start), p, q)],
+                lambda e, f, q_eff, p, rhs: lu.solve(rhs.T).T, CHORD_STEPS, opts,
+            ),
+            len(p), opts,
         )
         unsettled = np.flatnonzero(~result.converged)
         if len(unsettled):
@@ -552,68 +560,125 @@ class PowerFlowEngine:
         """
         opts = options or NewtonOptions()
         p, q = np.atleast_2d(p), np.atleast_2d(q)
+        return self._gather(self._newton([(p, q)], start, opts), len(p), opts)
+
+    def solve_blocks(self, blocks, start: PowerFlowSolution):
+        """:meth:`solve` from ``start`` on a stream of (p, q) blocks, admitted as rows stop.
+
+        The first block is admitted at once. Before each later iteration,
+        if fewer rows still iterate than the last admitted block held, the
+        next block (drawn from ``blocks`` only then) joins them at its
+        starting states. Yields (rows, :class:`BatchSolution`) for the rows
+        that stop, ``rows`` being their positions in the stream. A row's
+        results are those :meth:`solve` gives it alone.
+        """
+        for rows, *stopped in self._newton(blocks, start, NewtonOptions()):
+            yield rows, self._batch(*stopped)
+
+    def _newton(self, blocks, start: PowerFlowSolution | None, opts: NewtonOptions):
+        """:meth:`_lockstep` with full Newton steps on (p, q) blocks from ``start``."""
         replay = None if start is None else self._replay_at(start)
         return self._lockstep(
-            self._initial_states(q, start), p, q,
+            ((self._initial_states(q, start), p, q) for p, q in blocks),
             lambda e, f, q_eff, p, rhs: self._steps(
                 self._jacobian_data(e, f, q_eff, p), rhs, replay
             ),
             opts.max_iter, opts,
         )
 
-    def _lockstep(self, x, p, q, step, cap: int, opts: NewtonOptions) -> BatchSolution:
-        """The lockstep iteration of :meth:`solve` and :meth:`chord_solve` from (S, dim) states.
+    def _lockstep(self, blocks, step, cap: int, opts: NewtonOptions):
+        """The lockstep iteration of :meth:`solve_blocks` and :meth:`chord_solve`.
 
-        ``step(e, f, q_eff, p, rhs)`` returns the still-iterating rows' state
-        updates for the right-hand sides -residual; the stop rules are
-        :meth:`solve`'s, with ``cap`` steps in place of ``max_iter``.
+        ``blocks`` yields (x, p, q): (S, dim) starting states and their
+        injections, admitted by :meth:`solve_blocks`' rule. Each row counts
+        its own steps. ``step(e, f, q_eff, p, rhs)`` returns the iterating
+        rows' state updates for the right-hand sides -residual; the stop
+        rules are :meth:`solve`'s, with ``cap`` steps in place of
+        ``max_iter``. Yields (rows, states, converged, iterations, histories)
+        as rows stop, ``rows`` being their positions in admission order.
         """
         # max_iter + 2 wide whatever the cap, so a chord row can take a Newton row's history
-        history = np.full((len(x), opts.max_iter + 2), np.nan)
-        iterations = np.full(len(x), cap)  # steps each row took
-        converged = np.zeros(len(x), dtype=bool)
-        # The rows still iterating: their indices, states and injections.
-        rows, xa, pa, qa = np.arange(len(x)), x, p, q
+        width = opts.max_iter + 2
+        pending, refill, admitted = iter(blocks), 1, 0
+        # The rows iterating: positions, steps taken, states, injections and histories.
+        live = (
+            np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros((0, self.dim)),
+            np.zeros((0, self.n)), np.zeros((0, self.n)), np.zeros((0, width)),
+        )
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for it in range(cap + 1):
+            while True:
+                block = next(pending, None) if len(live[0]) < refill else None
+                if block is not None:
+                    x, p, q = block
+                    refill = len(x)
+                    fresh = (
+                        admitted + np.arange(refill), np.zeros(refill, dtype=int), x, p, q,
+                        np.full((refill, width), np.nan),
+                    )
+                    if len(live[0]):
+                        fresh = [np.concatenate(pair) for pair in zip(live, fresh)]
+                    live = fresh
+                    admitted += refill
+                rows, its, xa, pa, qa, history = live
+                if not len(rows):
+                    return
                 e, f, q_eff, v, i_net = self._terms(xa, qa)
                 mismatch = self._mismatch(v, i_net, pa, qa)
-                history[rows, it] = mismatch
+                history[np.arange(len(rows)), its] = mismatch
                 ok = mismatch <= opts.tolerance
-                stop = ok | ~np.isfinite(mismatch) | (mismatch > _DIVERGENCE_LIMIT)
+                stop = ok | ~np.isfinite(mismatch) | (mismatch > _DIVERGENCE_LIMIT) | (its == cap)
                 if stop.any():
-                    converged[rows[ok]] = True
-                    iterations[rows[stop]] = it
-                    x[rows[stop]] = xa[stop]
+                    yield rows[stop], xa[stop], ok[stop], its[stop], history[stop]
                     keep = ~stop
-                    rows, xa, pa, qa = rows[keep], xa[keep], pa[keep], qa[keep]
+                    live = [a[keep] for a in live]
+                    if not len(live[0]):
+                        continue  # admit the next block, or end
+                    rows, its, xa, pa, qa, history = live
                     e, f, q_eff, i_net = e[keep], f[keep], q_eff[keep], i_net[keep]
-                if it == cap or not len(rows):
-                    break
                 rhs = -self._residual(e, f, q_eff, i_net, pa)
                 xa = self._pin_slack(xa + step(e, f, q_eff, pa, rhs))
-                finite = np.isfinite(xa).all(axis=1)
-                if not finite.all():
-                    blown = rows[~finite]
-                    history[blown, it + 1] = np.inf
-                    iterations[blown] = it + 1
-                    x[blown] = xa[~finite]
-                    rows, xa, pa, qa = rows[finite], xa[finite], pa[finite], qa[finite]
-        x[rows] = xa  # rows that ran out of steps
+                its = its + 1
+                live = (rows, its, xa, pa, qa, history)
+                blown = ~np.isfinite(xa).all(axis=1)
+                if blown.any():
+                    history[blown, its[blown]] = np.inf
+                    failed = np.zeros(int(blown.sum()), dtype=bool)
+                    yield rows[blown], xa[blown], failed, its[blown], history[blown]
+                    live = [a[~blown] for a in live]
+
+    def _batch(self, x, converged, iterations, history) -> BatchSolution:
+        """The :class:`BatchSolution` of (S, dim) states and their outcomes."""
         return BatchSolution(
             v=x[:, 0 : 2 * self.n : 2] + 1j * x[:, 1 : 2 * self.n : 2],
             q_pv=x[:, 2 * self.n :],
             bus_ids=self.bus_ids,
-            pv_ids=tuple(self.bus_ids[i] for i in self.pv),
+            pv_ids=self.pv_ids,
             converged=converged,
             iterations=iterations,
             history=history,
         )
 
+    def _gather(self, stopped, count: int, opts: NewtonOptions) -> BatchSolution:
+        """One :class:`BatchSolution` of ``count`` rows from :meth:`_lockstep`'s stopped rows."""
+        # each row stops exactly once, so every entry is written
+        outcome = (
+            np.empty((count, self.dim)),
+            np.empty(count, dtype=bool),
+            np.empty(count, dtype=int),
+            np.empty((count, opts.max_iter + 2)),
+        )
+        for rows, *parts in stopped:
+            for whole, part in zip(outcome, parts):
+                whole[rows] = part
+        return self._batch(*outcome)
+
 
 @dataclass(eq=False)
 class BatchSolution:
-    """Per-row results of one :meth:`PowerFlowEngine.solve` or ``chord_solve`` call."""
+    """Per-row results of a :meth:`PowerFlowEngine.solve` or ``chord_solve`` call.
+
+    :meth:`PowerFlowEngine.solve_blocks` yields one for each set of rows that stop.
+    """
 
     v: np.ndarray  # (S, n) complex bus voltages, case bus order
     q_pv: np.ndarray  # (S, n_pv) solved net Q at PV buses

@@ -535,6 +535,17 @@ def test_bad_option_text_exits_3(runner, tmp_path, args):
     assert "error:" in result.output
 
 
+@pytest.mark.parametrize("entry", ["nan", "1.5"])
+def test_bad_correlation_entry_exits_3_naming_its_parameters(runner, tmp_path, entry):
+    corr = tmp_path / "corr.csv"
+    corr.write_text(entry + "\n")
+    result = runner.invoke(main, ["run", "--case", "case2", "--essential", "all",
+                                  "--correlation", str(corr), "--out", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert f"correlation entry (l1.P, l1.P) is {float(entry)!r}" in result.output
+    assert not (tmp_path / "rmss_report.json").exists()
+
+
 def test_uncreatable_out_dir_exits_3(runner, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

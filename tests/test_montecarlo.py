@@ -21,10 +21,11 @@ from rmss.exceptions import (
     NonConvergence,
     NotPSD,
 )
-from rmss import montecarlo
+from rmss import montecarlo, powerflow
 from rmss.montecarlo import McReport, SampleBatch
 from rmss.parameters import Axis, ParameterEntry, StochasticParameterSet
-from rmss.powerflow import build_admittance
+from rmss.powerflow import NewtonOptions, PowerFlowEngine, build_admittance
+from rmss.worstcase import nominal_solution
 
 from test_powerflow import two_bus
 
@@ -101,6 +102,27 @@ class TestSampling:
         with pytest.raises(NotPSD):
             pset([0.5, 0.4], [0.01, 0.01], sigma=np.array([[1e-4, 1e-5], [5e-5, 1e-4]]))
 
+    @pytest.mark.parametrize(
+        "row, col, value, rule",
+        [(0, 2, np.nan, "finite"), (2, 1, -1.5, "finite"), (1, 1, 0.9, "diagonal"),
+         (1, 2, 0.4, "transposed")],
+    )
+    def test_bad_correlation_entry_named_by_its_parameters(self, case14_solar, row, col,
+                                                          value, rule):
+        corr = np.eye(3)
+        corr[[1, 2], [2, 1]] = 0.3
+        corr[row, col] = value
+        labels = StochasticParameterSet.from_case(case14_solar).labels()
+        with pytest.raises(ConfigError, match=rule) as err:
+            StochasticParameterSet.from_case(case14_solar, correlation=corr)
+        assert f"({labels[row]}, {labels[col]})" in str(err.value)
+
+    def test_rounded_sample_correlation_accepted(self, case14_solar):
+        rng = np.random.default_rng(0)
+        corr = np.corrcoef(rng.standard_normal((3, 50)))
+        params = StochasticParameterSet.from_case(case14_solar, correlation=corr)
+        assert np.allclose(params.sigma, corr * np.outer(params.stdevs, params.stdevs))
+
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(NotPSD):
             pset([0.5, 0.4], [0.01, 0.01],
@@ -142,6 +164,51 @@ class TestRunMonteCarlo:
         assert json.dumps(serial.statistics_dict()) == json.dumps(parallel.statistics_dict())
         assert serial.failed_indices.tolist() == parallel.failed_indices.tolist()
         assert serial.newton_iterations == parallel.newton_iterations
+
+    def test_failing_samples_never_step_alone_before_the_last_blocks(self, case118,
+                                                                     monkeypatch):
+        # The next block joins whenever fewer than BLOCK_SIZE rows still
+        # iterate, so a failing sample's 50 steps share each replayed solve
+        # with fresh samples; only the chunk's drain may narrow to one row.
+        case = tag_essential(case118, "all")
+        params = StochasticParameterSet.from_case(case, sigma_frac=0.02)
+        widths = []
+        replay = powerflow._ReplayLU.solve
+
+        def counted(self, data, rhs):
+            widths.append(len(data))
+            return replay(self, data, rhs)
+
+        monkeypatch.setattr(powerflow._ReplayLU, "solve", counted)
+        mc = run_monte_carlo(case, params, default_metric_spec(case), n=1_000, seed=1)
+        assert mc.n_failed and mc.failed_indices[0] < 1_000 - 2 * montecarlo.BLOCK_SIZE
+        assert widths.count(1) <= NewtonOptions().max_iter + 1
+
+    def test_results_independent_of_admission(self, case118):
+        # 3 blocks and a partial fourth; at a 3% spread samples of the first
+        # block fail, so later blocks are admitted while they still iterate
+        case = tag_essential(case118, "all")
+        params = StochasticParameterSet.from_case(case, sigma_frac=0.03)
+        spec = default_metric_spec(case)
+        n, seed = 3 * montecarlo.BLOCK_SIZE + 5, 0
+        mc = run_monte_carlo(case, params, spec, n=n, seed=seed, keep_samples=True)
+        assert 0 < mc.failed_indices[0] < montecarlo.BLOCK_SIZE
+
+        engine = PowerFlowEngine(case)
+        nominal = nominal_solution(engine, params)
+        p, q = params.injections(case, sample_parameters(params, n, seed).values)
+        positions = powerflow.metric_positions(engine.bus_ids, spec)
+        metrics = np.full((n, len(spec)), np.nan)
+        iterations = []
+        for r in range(n):
+            alone = engine.solve(p[r : r + 1], q[r : r + 1], start=nominal)
+            if alone.converged[0]:
+                metrics[r] = np.abs(alone.v[0, positions])
+            iterations.append(int(alone.iterations[0]))
+        assert np.array_equal(mc.metric_samples, metrics, equal_nan=True)
+        assert mc.failed_indices.tolist() == np.flatnonzero(np.isnan(metrics[:, 0])).tolist()
+        histogram = np.bincount(iterations)
+        assert mc.newton_iterations == {k: int(c) for k, c in enumerate(histogram) if c}
 
     def test_nominal_divergence_aborts(self):
         case = tag_essential(two_bus(p_load=6.0), ["l1"])
