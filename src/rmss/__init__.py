@@ -37,6 +37,7 @@ from .powerflow import (
     PowerFlowSolution,
     build_admittance,
     default_metric_spec,
+    engine_for,
     evaluate_metrics,
     solve_power_flow,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "build_admittance",
     "count_violations",
     "default_metric_spec",
+    "engine_for",
     "evaluate_metrics",
     "finite_difference_sensitivities",
     "hybrid_sensitivities",

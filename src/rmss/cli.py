@@ -24,7 +24,7 @@ from .matpower import parse_case
 from .model import GridCase, tag_essential, validate_case
 from .montecarlo import McReport, mae_compare, run_monte_carlo
 from .parameters import Axis, StochasticParameterSet
-from .powerflow import MetricSpec, PowerFlowEngine, default_metric_spec
+from .powerflow import MetricSpec, default_metric_spec, engine_for
 from .reportio import (
     write_json,
     write_manifest,
@@ -325,8 +325,8 @@ def cmd_sensitivity(case, essential, axes, sigma_p, correlation, metrics, out):
     """Dump the metric/parameter sensitivity matrix as CSV."""
     _out_dir(Path(out).parent)
     grid, params, spec = _load_inputs(case, essential, axes, sigma_p, correlation, metrics)
-    engine = PowerFlowEngine(grid)
-    sens = hybrid_sensitivities(engine, nominal_solution(engine, params), params, spec)
+    inject = params.injector(grid, engine_for(grid).case_injections)
+    sens = hybrid_sensitivities(grid, nominal_solution(grid, inject), params, spec, inject)
     sens.to_csv(out)
     click.echo(f"{len(sens.metric_buses)}x{len(sens.parameter_labels)} matrix "
                f"written to {out}")

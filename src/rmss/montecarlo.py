@@ -26,7 +26,7 @@ from .exceptions import (
     AllSamplesFailed, ConfigError, DimensionMismatch, ExcessiveFailureRate, SchemaError
 )
 from .model import GridCase
-from .parameters import StochasticParameterSet
+from .parameters import Injector, StochasticParameterSet
 # build_admittance, evaluate_metrics and solve_power_flow are unused here but
 # stay importable: perfbench/layers.py traces them under this module.
 from .powerflow import (  # noqa: F401
@@ -34,6 +34,7 @@ from .powerflow import (  # noqa: F401
     PowerFlowEngine,
     PowerFlowSolution,
     build_admittance,
+    engine_for,
     evaluate_metrics,
     metric_positions,
     solve_power_flow,
@@ -80,7 +81,7 @@ class _Solved:
 
 def _solve_samples(
     engine: PowerFlowEngine,
-    params: StochasticParameterSet,
+    inject: Injector,
     spec: MetricSpec,
     samples: np.ndarray,
     start: PowerFlowSolution,
@@ -99,7 +100,6 @@ def _solve_samples(
     that time); the times sum to the whole solve.
     """
     positions = metric_positions(engine.bus_ids, spec)
-    inject = params.injector(engine.case)
     starts = np.arange(0, len(samples), BLOCK_SIZE)
     out = _Solved(
         metrics=np.full((len(samples), len(spec)), np.nan),
@@ -275,13 +275,14 @@ def run_monte_carlo(
     """
     t0 = time.perf_counter()
 
-    engine = PowerFlowEngine(case)
-    nominal = nominal_solution(engine, params)
+    engine = engine_for(case)
+    inject = params.injector(case, engine.case_injections)
+    nominal = nominal_solution(case, inject)
 
     batch = sample_parameters(params, n, seed)
     n_blocks = -(-n // BLOCK_SIZE)
     jobs = min(workers, n_blocks)
-    solve = partial(_solve_samples, engine, params, spec, start=nominal)
+    solve = partial(_solve_samples, engine, inject, spec, start=nominal)
     if jobs <= 1:
         parts = [solve(batch.values)]
     else:
@@ -314,7 +315,7 @@ def run_monte_carlo(
     return McReport(
         case_name=case.name,
         metric_buses=spec.buses,
-        parameter_labels=params.labels(),
+        parameter_labels=params.labels,
         n_samples=n,
         n_failed=len(failed),
         seed=seed,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -76,17 +75,28 @@ def _check_correlation(corr: np.ndarray, labels: list[str]) -> None:
             )
 
 
-def _inject(
-    p0: np.ndarray, q0: np.ndarray, axis: np.ndarray, bus: np.ndarray, means: np.ndarray,
-    values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Base injections (p0, q0) with each row's entry deviations from ``means`` added."""
-    values = np.atleast_2d(values)
-    delta = values - means
-    pq = np.empty((2, len(values), len(p0)))
-    pq[0], pq[1] = p0, q0
-    np.add.at(pq, (axis, slice(None), bus), delta.T)
-    return pq[0], pq[1]
+@dataclass(frozen=True, eq=False)
+class Injector:
+    """Per-bus (p, q) injections of parameter rows on one case, a function of the rows alone.
+
+    Holds the case's base injections and each entry's axis and host bus,
+    so an analysis that maps several sets of rows builds them once.
+    """
+
+    base: tuple[np.ndarray, np.ndarray]  # the case's (p, q) injections, (n,) each
+    axis: np.ndarray  # (d,) 1 for a Q entry, 0 for a P entry
+    bus: np.ndarray  # (d,) host bus position of each entry, case order
+    means: np.ndarray  # (d,) entry means
+
+    def __call__(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Base injections with each row's entry deviations from the means added."""
+        values = np.atleast_2d(values)
+        delta = values - self.means
+        p0, q0 = self.base
+        pq = np.empty((2, len(values), len(p0)))
+        pq[0], pq[1] = p0, q0
+        np.add.at(pq, (self.axis, slice(None), self.bus), delta.T)
+        return pq[0], pq[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +105,10 @@ class StochasticParameterSet:
     sigma: np.ndarray  # d x d covariance, pu^2
     means: np.ndarray = field(init=False, repr=False)  # (d,) entry means, read-only
     stdevs: np.ndarray = field(init=False, repr=False)  # (d,) entry stdevs, read-only
+    labels: tuple[str, ...] = field(init=False, repr=False)  # (d,) "component.axis"
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(e.label for e in self.entries))
         for name in ("mean", "stdev"):
             values = np.array([getattr(e, name) for e in self.entries])
             values.flags.writeable = False
@@ -121,9 +133,6 @@ class StochasticParameterSet:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.entries)
-
     def factor(self) -> np.ndarray:
         """Symmetric factor L with L @ L.T = sigma (Cholesky or eigen fallback)."""
         try:
@@ -142,26 +151,23 @@ class StochasticParameterSet:
         comps = case.component_map()
         return np.array([idx[comps[e.component].bus] for e in self.entries], dtype=int)
 
-    def pq_hosts(self, case: GridCase) -> np.ndarray:
-        """:meth:`bus_map`, refusing an entry whose host is not a PQ bus."""
-        buses = self.bus_map(case)
-        for label, i in zip(self.labels(), buses):
+    def check_pq_hosts(self, case: GridCase, buses: np.ndarray) -> None:
+        """Refuse an entry whose host bus is not PQ; ``buses`` is :meth:`bus_map` on ``case``."""
+        for label, i in zip(self.labels, buses):
             if case.buses[i].kind is not BusKind.PQ:
                 raise TopologyError(
                     f"parameter {label} sits on non-PQ bus {case.buses[i].id}; "
                     "re-tag the case so PV hosts are re-modeled as PQ"
                 )
-        return buses
 
-    def injector(self, case: GridCase):
-        """:meth:`injections` on ``case`` as a function of the (S, d) rows alone.
+    def injector(self, case: GridCase, base: tuple[np.ndarray, np.ndarray]) -> Injector:
+        """:meth:`injections` on ``case`` as a function of the rows alone.
 
-        The case's injections and the bus map are built here once, so a
-        caller mapping many blocks of rows pays for them once.
+        ``base`` is the case's (p, q) injections; an analysis passes its
+        engine's. The bus map is built here, once per injector.
         """
-        p0, q0 = case.injections()
         axis = np.array([entry.axis is Axis.Q for entry in self.entries], dtype=int)
-        return partial(_inject, p0, q0, axis, self.bus_map(case), self.means)
+        return Injector(base, axis, self.bus_map(case), self.means)
 
     def injections(
         self, case: GridCase, values: np.ndarray
@@ -172,7 +178,7 @@ class StochasticParameterSet:
         substituted for the means, added entry by entry in entry order:
         ``np.add.at`` adds at a repeated (axis, bus) pair in index order.
         """
-        return self.injector(case)(values)
+        return self.injector(case, case.injections())(values)
 
     def apply(
         self, case: GridCase, values: np.ndarray
@@ -225,5 +231,5 @@ class StochasticParameterSet:
             _check_correlation(corr, [e.label for e in entries])
             sigma = corr * np.outer(stdevs, stdevs)
         params = cls(entries=tuple(entries), sigma=sigma)
-        params.pq_hosts(case)
+        params.check_pq_hosts(case, params.bus_map(case))
         return params

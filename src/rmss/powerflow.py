@@ -10,6 +10,7 @@ voltage-magnitude equation.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 
@@ -262,7 +263,7 @@ class _ReplayLU:
 
 
 class PowerFlowEngine:
-    """Newton solver on the rectangular current-injection equations, built once per case.
+    """Newton solver on the rectangular current-injection equations, one per case object.
 
     State layout per sample: [e_0, f_0, e_1, f_1, ..., Q at PV buses]. Slack
     rows are identity constraints on the slack voltage; PV buses get an
@@ -282,6 +283,10 @@ class PowerFlowEngine:
     next block joins them, so a slow or failing row steps alongside fresh
     ones instead of alone. :meth:`chord_solve` and :meth:`solve_transposed`
     instead reuse one factorization at an already solved state.
+
+    Analyses get the engine of a case from :func:`engine_for`, which
+    builds it once per case object; nothing on it changes per solve but
+    the replayed LU of the last start.
     """
 
     def __init__(self, case: GridCase):
@@ -297,6 +302,8 @@ class PowerFlowEngine:
         self.nonslack = np.array([i for i in range(n) if i != self.slack], dtype=int)
         self.dim = 2 * n + len(self.pv)
         self.case_injections = case.injections()
+        for base in self.case_injections:
+            base.flags.writeable = False  # shared by every analysis of the case
 
         slack_bus = case.buses[self.slack]
         ang = slack_bus.angle_setpoint or 0.0
@@ -348,7 +355,18 @@ class PowerFlowEngine:
         self._template = np.full(len(pattern), -0.0)
         self._template[slot[: len(const_vals)]] = const_vals
         self._var_slots = slot[len(const_vals) :]
+        # J's and J^T's containers, validated once: each factorization hands
+        # SuperLU a shallow copy holding its own values.
+        shape = (self.dim, self.dim)
+        self._j = sparse.csc_matrix((self._template, self._indices, self._indptr), shape=shape)
+        self._jt = sparse.csc_matrix(
+            (self._template[self._t_gather], self._t_indices, self._t_indptr), shape=shape
+        )
         self._replay: tuple[PowerFlowSolution, _ReplayLU] | None = None  # the last start's
+
+    def __getstate__(self):
+        """The engine without its last start's replayed LU: a worker's start is another object."""
+        return {**self.__dict__, "_replay": None}
 
     def _initial_states(
         self, q: np.ndarray, start: PowerFlowSolution | None = None
@@ -422,21 +440,13 @@ class PowerFlowEngine:
         data[:, self._var_slots] += var
         return data
 
-    def _jacobian(self, data: np.ndarray) -> sparse.csc_matrix:
-        """A Jacobian with the CSC values ``data`` on the engine's fixed pattern."""
-        return sparse.csc_matrix((data, self._indices, self._indptr), shape=(self.dim, self.dim))
-
     def _factorize(self, data: np.ndarray, transposed: bool = False):
         """Sparse LU of the Jacobian with CSC values ``data``, or of its transpose.
 
         Either way, a bus that no equation couples is named in the error.
         """
-        if transposed:
-            jac = sparse.csc_matrix(
-                (data[self._t_gather], self._t_indices, self._t_indptr), shape=(self.dim, self.dim)
-            )
-        else:
-            jac = self._jacobian(data)
+        jac = copy.copy(self._jt if transposed else self._j)
+        jac.data = data[self._t_gather] if transposed else data
         try:
             return splu(jac)
         except RuntimeError as exc:
@@ -455,11 +465,12 @@ class PowerFlowEngine:
         Its pivots come from the Jacobian at ``start``'s state under the
         injections that state balances, so they depend on ``start`` alone.
         """
-        if self._replay is None or self._replay[0] is not start:
+        replay = self._replay
+        if replay is None or replay[0] is not start:
             s = start.v * np.conj(self.y @ start.v)
             data = self._jacobian_data_at(start, s.real, s.imag)
-            self._replay = (start, _ReplayLU(self._indices, self._indptr, data))
-        return self._replay[1]
+            replay = self._replay = (start, _ReplayLU(self._indices, self._indptr, data))
+        return replay[1]
 
     def _steps(
         self, data: np.ndarray, rhs: np.ndarray, replay: _ReplayLU | None = None
@@ -709,22 +720,35 @@ _DIVERGENCE_LIMIT = 1e8
 CHORD_STEPS = 4
 
 
-def engine_for(case: GridCase | PowerFlowEngine) -> PowerFlowEngine:
-    """The engine for ``case``: ``case`` itself when it already is one, else built here."""
-    return case if isinstance(case, PowerFlowEngine) else PowerFlowEngine(case)
+# The key of a case object's engine in its ``__dict__``.
+_ENGINE = "_power_flow_engine"
+
+
+def engine_for(case: GridCase) -> PowerFlowEngine:
+    """The engine of ``case``, built at the first call on that object and kept on it.
+
+    A frozen case never changes, so its engine's structure holds for every
+    analysis of it. The engine sits in the case object's ``__dict__``, as
+    ``functools.cached_property`` would put it: it is found by identity,
+    without hashing the case, and goes when the case does. A copy, such as
+    :func:`tag_essential`'s, gets its own engine.
+    """
+    engine = vars(case).get(_ENGINE)
+    if engine is None:
+        engine = vars(case)[_ENGINE] = PowerFlowEngine(case)
+    return engine
 
 
 def solve_power_flow(
-    case: GridCase | PowerFlowEngine,
+    case: GridCase,
     injections: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PowerFlowSolution:
     """Newton power flow; deterministic for fixed inputs.
 
-    The one-row case of :meth:`PowerFlowEngine.solve`; pass an engine
-    already built for the case to skip building one. Returns a solution
-    with ``converged=False`` plus the mismatch history when the iteration
-    fails, rather than raising; callers that need a converged base point
-    raise on that flag.
+    The one-row case of :meth:`PowerFlowEngine.solve`, on the case's
+    :func:`engine_for`. Returns a solution with ``converged=False`` plus
+    the mismatch history when the iteration fails, rather than raising;
+    callers that need a converged base point raise on that flag.
     """
     engine = engine_for(case)
     p, q = injections if injections is not None else engine.case_injections

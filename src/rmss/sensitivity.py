@@ -18,13 +18,12 @@ import numpy as np
 
 from .exceptions import NonConvergence, NotConverged, ZeroStep
 from .model import GridCase
-from .parameters import Axis, StochasticParameterSet
+from .parameters import Axis, Injector, StochasticParameterSet
 # build_admittance, evaluate_metrics and solve_power_flow are unused here but stay
 # importable: perfbench/layers.py traces them under this module.
 from .powerflow import (  # noqa: F401
     MetricSpec,
     NewtonOptions,
-    PowerFlowEngine,
     PowerFlowSolution,
     build_admittance,
     engine_for,
@@ -66,24 +65,36 @@ class SensitivityMatrix:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _injector(
+    case: GridCase, params: StochasticParameterSet, inject: Injector | None
+) -> Injector:
+    """``inject``, or the parameters' injector on the case's engine injections."""
+    if inject is None:
+        inject = params.injector(case, engine_for(case).case_injections)
+    return inject
+
+
 def adjoint_sensitivities(
-    case: GridCase | PowerFlowEngine,
+    case: GridCase,
     sol: PowerFlowSolution,
     params: StochasticParameterSet,
     spec: MetricSpec,
+    inject: Injector | None = None,
 ) -> SensitivityMatrix:
     """Gradient of every metric via one multi-right-hand-side solve on the factored J^T.
 
     The residual at the solution is differentiated in-place: injection
     parameters enter only the excitation side of the network equations, so
     each gradient entry is an inner product of the adjoint vector with the
-    two local current-derivative terms of the host bus. ``case`` may be an
-    engine already built for the case.
+    two local current-derivative terms of the host bus. ``inject`` is
+    ``params.injector`` on ``case``, for a caller that already built it.
     """
     if not sol.converged:
         raise NotConverged("adjoint analysis requires a converged solution")
     engine = engine_for(case)
-    buses = params.pq_hosts(engine.case)
+    inject = _injector(case, params, inject)
+    buses = inject.bus
+    params.check_pq_hosts(case, buses)
 
     e, f = sol.v.real, sol.v.imag
     d = e * e + f * f
@@ -110,25 +121,27 @@ def adjoint_sensitivities(
     g[2 * k + 1, cols] = f[k] / mag
     values = np.zeros((len(spec), len(params)))
     if len(rows):
-        lam = engine.solve_transposed(sol, *params.apply(engine.case, params.means), g)
+        p, q = inject(params.means)
+        lam = engine.solve_transposed(sol, p[0], q[0], g)
         values[rows] = -(lam[2 * buses].T * dfr + lam[2 * buses + 1].T * dfi)
 
     return SensitivityMatrix(
         values=values,
         metric_buses=metric_buses,
-        parameter_labels=params.labels(),
+        parameter_labels=params.labels,
         methods=(METHOD_ADJOINT,) * len(spec),
         adjoint_solves=len(rows),
     )
 
 
 def finite_difference_sensitivities(
-    case: GridCase | PowerFlowEngine,
+    case: GridCase,
     sol: PowerFlowSolution,
     params: StochasticParameterSet,
     spec: MetricSpec,
     step: float = _FD_STEP,
     columns: np.ndarray | None = None,
+    inject: Injector | None = None,
 ) -> SensitivityMatrix:
     """Central-difference estimate, two solves warm-started from ``sol`` per parameter.
 
@@ -136,8 +149,8 @@ def finite_difference_sensitivities(
     chord steps on the Jacobian at ``sol``; a row they do not settle is
     solved by full Newton, and one that fails there is named. ``columns``
     restricts the differencing to a subset of parameters (others stay
-    zero); used by the hybrid probe. ``case`` may be an engine already
-    built for the case.
+    zero); used by the hybrid probe. ``inject`` is as for
+    :func:`adjoint_sensitivities`.
     """
     if step <= 0:
         raise ZeroStep(f"finite-difference step must be positive, got {step}")
@@ -151,13 +164,13 @@ def finite_difference_sensitivities(
     probes = np.tile(params.means, (2 * len(cols) + 1, 1))  # the last row stays at the means
     for r, (j, sign) in enumerate(itertools.product(cols, signs)):
         probes[r, j] += sign * step
-    p, q = params.injections(engine.case, probes)
+    p, q = _injector(case, params, inject)(probes)
     result = engine.chord_solve(p[:-1], q[:-1], sol, (p[-1], q[-1]), opts)
     failed = np.flatnonzero(~result.converged)
     if len(failed):
         r = int(failed[0])
         raise NonConvergence(
-            f"perturbed solve diverged at {params.labels()[cols[r // 2]]} "
+            f"perturbed solve diverged at {params.labels[cols[r // 2]]} "
             f"{'+' if signs[r % 2] > 0 else '-'}{step}",
             solution=result.solution(r),
         )
@@ -168,7 +181,7 @@ def finite_difference_sensitivities(
     return SensitivityMatrix(
         values=values,
         metric_buses=spec.buses,
-        parameter_labels=params.labels(),
+        parameter_labels=params.labels,
         methods=(METHOD_FD,) * len(spec),
         adjoint_solves=0,
     )
@@ -181,10 +194,11 @@ def _probe_columns(d: int, limit: int = 4) -> np.ndarray:
 
 
 def hybrid_sensitivities(
-    case: GridCase | PowerFlowEngine,
+    case: GridCase,
     sol: PowerFlowSolution,
     params: StochasticParameterSet,
     spec: MetricSpec,
+    inject: Injector | None = None,
 ) -> SensitivityMatrix:
     """Adjoint rows, each probed against central finite differences.
 
@@ -193,14 +207,14 @@ def hybrid_sensitivities(
     ``adjoint-nonlinear``, and one warning names its bus. Below the
     probe's own resolution (its solve tolerance over the step) a row is
     scaled by that resolution, so rounding noise on a row the network
-    pins, such as a PV bus voltage, flags nothing. ``case`` may be an
-    engine already built for the case.
+    pins, such as a PV bus voltage, flags nothing. ``inject`` is as for
+    :func:`adjoint_sensitivities`; both calls share it.
     """
-    engine = engine_for(case)
-    adj = adjoint_sensitivities(engine, sol, params, spec)
+    inject = _injector(case, params, inject)
+    adj = adjoint_sensitivities(case, sol, params, spec, inject)
     cols = _probe_columns(len(params))
     probe = finite_difference_sensitivities(
-        engine, sol, params, spec, step=_FD_STEP, columns=cols
+        case, sol, params, spec, step=_FD_STEP, columns=cols, inject=inject
     )
 
     diff = np.abs(adj.values[:, cols] - probe.values[:, cols]).max(axis=1)

@@ -30,15 +30,15 @@ from .exceptions import (
     SchemaError,
 )
 from .model import GridCase
-from .parameters import StochasticParameterSet
+from .parameters import Injector, StochasticParameterSet
 # build_admittance is unused here but stays importable: perfbench/layers.py
 # traces it under this module.
 from .powerflow import (  # noqa: F401
     MetricSpec,
-    PowerFlowEngine,
     PowerFlowSolution,
     build_admittance,
     default_metric_spec,
+    engine_for,
     evaluate_metrics,
     solve_power_flow,
 )
@@ -422,10 +422,11 @@ def _resolve_sigma_points(
     return "known", ABSOLUTE, [value], np.full((1, len(c_nom)), value)
 
 
-def nominal_solution(engine: PowerFlowEngine, params: StochasticParameterSet) -> PowerFlowSolution:
+def nominal_solution(case: GridCase, inject: Injector) -> PowerFlowSolution:
     """The power flow at the parameter means, or :class:`NonConvergence` with its history."""
+    p, q = inject(inject.means)
     # Through this module's solve_power_flow, the name perfbench/layers.py traces.
-    sol = solve_power_flow(engine, injections=params.apply(engine.case, params.means))
+    sol = solve_power_flow(case, injections=(p[0], q[0]))
     if not sol.converged:
         raise NonConvergence(
             "nominal power flow did not converge "
@@ -457,13 +458,13 @@ def run_rmss(
     t0 = time.perf_counter()
     z = _quantile(rho)
 
-    engine = PowerFlowEngine(case)
-    sol = nominal_solution(engine, params)
+    inject = params.injector(case, engine_for(case).case_injections)
+    sol = nominal_solution(case, inject)
     spec = spec if spec is not None else default_metric_spec(case)
     buses = spec.buses
     c_nom = evaluate_metrics(sol, spec)
 
-    sens = hybrid_sensitivities(engine, sol, params, spec)
+    sens = hybrid_sensitivities(case, sol, params, spec, inject)
     variance, degenerate, directions = _linearization(params.sigma, sens.values)
     if degenerate.any():
         logger.warning(
@@ -481,7 +482,7 @@ def run_rmss(
         case_name=case.name,
         rho=rho,
         metric_buses=buses,
-        parameter_labels=params.labels(),
+        parameter_labels=params.labels,
         parameter_means=params.means,
         parameter_stdevs=params.stdevs,
         c_nom=c_nom,

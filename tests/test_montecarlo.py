@@ -112,7 +112,7 @@ class TestSampling:
         corr = np.eye(3)
         corr[[1, 2], [2, 1]] = 0.3
         corr[row, col] = value
-        labels = StochasticParameterSet.from_case(case14_solar).labels()
+        labels = StochasticParameterSet.from_case(case14_solar).labels
         with pytest.raises(ConfigError, match=rule) as err:
             StochasticParameterSet.from_case(case14_solar, correlation=corr)
         assert f"({labels[row]}, {labels[col]})" in str(err.value)
@@ -195,7 +195,7 @@ class TestRunMonteCarlo:
         assert 0 < mc.failed_indices[0] < montecarlo.BLOCK_SIZE
 
         engine = PowerFlowEngine(case)
-        nominal = nominal_solution(engine, params)
+        nominal = nominal_solution(case, params.injector(case, case.injections()))
         p, q = params.injections(case, sample_parameters(params, n, seed).values)
         positions = powerflow.metric_positions(engine.bus_ids, spec)
         metrics = np.full((n, len(spec)), np.nan)

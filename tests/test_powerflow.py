@@ -1,10 +1,14 @@
 """Admittance stamping, Newton solver behavior, and metric evaluation."""
 
+import gc
 import math
+import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from rmss import (
@@ -14,7 +18,10 @@ from rmss import (
     StochasticParameterSet,
     build_admittance,
     default_metric_spec,
+    engine_for,
     evaluate_metrics,
+    run_monte_carlo,
+    run_rmss,
     sample_parameters,
     solve_power_flow,
     tag_essential,
@@ -23,6 +30,7 @@ from rmss.exceptions import (
     JacobianSingular, NotConverged, SingularityWarning, TopologyError, UnknownBus
 )
 from rmss.model import Branch, Bus, BusKind, GridCase, Load
+from rmss import powerflow
 from rmss.powerflow import PowerFlowSolution
 
 
@@ -164,7 +172,7 @@ class TestSolver:
 
     def test_flat_vs_warm_start_agree(self, case14):
         engine = PowerFlowEngine(case14)
-        cold = solve_power_flow(engine)
+        cold = solve_power_flow(case14)
         warm = engine.solve(*engine.case_injections, cold).solution(0)
         assert warm.converged
         assert np.max(np.abs(cold.v - warm.v)) < 10 * NewtonOptions().tolerance
@@ -190,9 +198,9 @@ class TestSolver:
             loads=(Load("l1", 2, -0.5, 0.0),),
         )
         with pytest.warns(SingularityWarning):
-            engine = PowerFlowEngine(case)
+            engine = engine_for(case)
         with pytest.raises(JacobianSingular, match="bus 3"):
-            solve_power_flow(engine)
+            solve_power_flow(case)
         # A block raises the same error, whether its first row is singular
         # or a regular first row (a load at bus 3 couples it) has fixed the
         # column order and the error comes from a stack.
@@ -259,6 +267,11 @@ class TestMetrics:
         assert all(v >= 0 for v in evaluate_metrics(solve_power_flow(case14), spec))
 
 
+def _jacobian(engine, data):
+    """A fresh CSC Jacobian with the values ``data`` on the engine's pattern."""
+    return sparse.csc_matrix((data, engine._indices, engine._indptr), shape=(engine.dim,) * 2)
+
+
 def _stochastic(case, selector):
     tagged = tag_essential(case, selector)
     return tagged, StochasticParameterSet.from_case(tagged, sigma_frac=0.02)
@@ -275,7 +288,7 @@ class TestEngine:
     def test_sample_state_independent_of_its_block(self, fixture, selector, request):
         case, params = _stochastic(request.getfixturevalue(fixture), selector)
         engine = PowerFlowEngine(case)
-        nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
+        nominal = solve_power_flow(case, injections=params.apply(case, params.means))
         p, q = params.injections(case, sample_parameters(params, 9, seed=5).values)
 
         def solved(rows):
@@ -293,7 +306,7 @@ class TestEngine:
     def test_block_rows_balance_power_and_fail_like_scalar_solves(self, case118):
         case, params = _stochastic(case118, "all")
         engine = PowerFlowEngine(case)
-        nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
+        nominal = solve_power_flow(case, injections=params.apply(case, params.means))
         values = sample_parameters(params, 300, seed=7).values
         p, q = params.injections(case, values)
         block = engine.solve(p, q, start=nominal)
@@ -322,7 +335,7 @@ class TestEngine:
         # states only to 1e-12 relative.
         case, params = _stochastic(request.getfixturevalue(fixture), selector)
         engine = PowerFlowEngine(case)
-        nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
+        nominal = solve_power_flow(case, injections=params.apply(case, params.means))
         p, q = params.injections(case, sample_parameters(params, n, seed=seed).values)
         start = nominal if warm else None
 
@@ -330,12 +343,7 @@ class TestEngine:
         reference = PowerFlowEngine(case)
 
         def per_row_steps(data, rhs, replay=None):
-            jac = reference._jacobian(reference._template.copy())
-            step = np.empty_like(rhs)
-            for r in range(len(rhs)):
-                jac.data = data[r]
-                step[r] = splu(jac).solve(rhs[r])
-            return step
+            return np.array([splu(_jacobian(reference, d)).solve(b) for d, b in zip(data, rhs)])
 
         reference._steps = per_row_steps
         got, want = engine.solve(p, q, start), reference.solve(p, q, start)
@@ -357,7 +365,7 @@ class TestEngine:
     def test_replayed_steps_match_per_row_splu(self, fixture, selector, request):
         case, params = _stochastic(request.getfixturevalue(fixture), selector)
         engine = PowerFlowEngine(case)
-        nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
+        nominal = solve_power_flow(case, injections=params.apply(case, params.means))
         p, q = params.injections(case, sample_parameters(params, 64, seed=2).values)
         solved = engine.solve(p, q, start=nominal)
         # Jacobians at the nominal state and at each sample's own solution
@@ -373,13 +381,13 @@ class TestEngine:
         got, bad = engine._replay_at(nominal).solve(data, rhs)
         assert not bad.any()
         for r in range(len(data)):
-            want = splu(engine._jacobian(data[r])).solve(rhs[r])
+            want = splu(_jacobian(engine, data[r])).solve(rhs[r])
             assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), r
 
     def test_row_bits_independent_of_block_size(self, case118):
         case, params = _stochastic(case118, "all")
         engine = PowerFlowEngine(case)
-        nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
+        nominal = solve_power_flow(case, injections=params.apply(case, params.means))
         p, q = params.injections(case, sample_parameters(params, 64, seed=9).values)
         # Backward-solve rows sum more than numpy's 8 unrolled terms, where
         # a reduction's order could depend on the memory layout.
@@ -400,7 +408,7 @@ class TestEngine:
     def test_zero_replay_pivot_falls_back_to_the_rows_own_factorization(self, case14):
         case, params = _stochastic(case14, "all-solar")
         engine = PowerFlowEngine(case)
-        nominal = solve_power_flow(engine, injections=params.apply(case, params.means))
+        nominal = solve_power_flow(case, injections=params.apply(case, params.means))
         replay = engine._replay_at(nominal)
         p, q = params.injections(case, sample_parameters(params, 3, seed=1).values)
         e, f, q_eff, _, _ = engine._terms(engine._initial_states(q, nominal), q)
@@ -415,14 +423,14 @@ class TestEngine:
 
         step = engine._steps(data, rhs, replay)
         assert np.array_equal(step[[0, 2]], replayed[[0, 2]])
-        assert np.array_equal(step[1], splu(engine._jacobian(data[1])).solve(rhs[1]))
+        assert np.array_equal(step[1], splu(_jacobian(engine, data[1])).solve(rhs[1]))
 
     def test_singular_row_on_the_replay_path_fails_alone(self):
         # From the zero-injection solution (the flat state), p = -B, q = 0
         # at bus 2 makes the first Jacobian exactly singular.
         case = two_bus(p_load=0.0)
         engine = PowerFlowEngine(case)
-        start = solve_power_flow(engine)
+        start = solve_power_flow(case)
         assert start.iterations == 0
         b = engine.y[1, 1].imag
         p = np.array([[0.0, -0.5], [0.0, -b], [0.0, -0.2]])
@@ -448,7 +456,7 @@ class TestEngine:
         case, params = _stochastic(request.getfixturevalue(fixture), selector)
         engine = PowerFlowEngine(case)
         base = params.apply(case, params.means)
-        nominal = solve_power_flow(engine, injections=base)
+        nominal = solve_power_flow(case, injections=base)
         wide = StochasticParameterSet.from_case(case, sigma_frac=0.2)
         p, q = params.injections(case, sample_parameters(wide, 64, seed=3).values)
 
@@ -482,3 +490,101 @@ class TestEngine:
         with pytest.raises(JacobianSingular) as stacked:
             engine.solve(p, q)
         assert str(stacked.value) == str(alone.value)
+
+
+class TestEngineFor:
+    """One engine per case object, shared by every analysis of it."""
+
+    def test_repeated_analyses_share_one_engine(self, case14, monkeypatch):
+        case = tag_essential(case14, "all-solar")  # a new object, without an engine yet
+        params = StochasticParameterSet.from_case(case)
+        spec = default_metric_spec(case)
+        builds = []
+        real = powerflow.build_admittance
+        monkeypatch.setattr(powerflow, "build_admittance", lambda c: builds.append(c) or real(c))
+        for _ in range(2):
+            run_rmss(case, params, spec, sigma_c="propagated")
+            run_monte_carlo(case, params, spec, n=70, seed=0)
+        assert builds == [case]
+        assert engine_for(case) is engine_for(case)
+        assert engine_for(case).case is case
+
+    def test_tagged_copy_gets_its_own_engine(self, case14):
+        tagged = tag_essential(case14, "all-solar")
+        assert engine_for(tagged) is not engine_for(case14)
+        assert engine_for(tagged).case is tagged and engine_for(case14).case is case14
+
+    def test_engine_lives_as_long_as_its_case(self):
+        case = two_bus(p_load=0.3)
+        engine = weakref.ref(engine_for(case))
+        gc.collect()
+        assert engine() is engine_for(case)
+        del case
+        gc.collect()
+        assert engine() is None
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_factorizations_do_not_alias(self, case14, transposed):
+        engine = engine_for(case14)
+        sol = solve_power_flow(case14)
+        p, q = engine.case_injections
+        a = engine._jacobian_data_at(sol, p, q)
+        b = engine._jacobian_data_at(sol, 1.5 * p, 0.5 * q)
+        kept = (engine._j.data.copy(), engine._jt.data.copy())
+        rhs = np.random.default_rng(0).standard_normal(engine.dim)
+        lu_a = engine._factorize(a, transposed)
+        x_a = lu_a.solve(rhs)
+        lu_b = engine._factorize(b, transposed)
+        assert np.array_equal(lu_a.solve(rhs), x_a)
+        assert not np.array_equal(lu_b.solve(rhs), x_a)
+        want = _jacobian(engine, a)
+        assert np.array_equal(x_a, splu(want.T.tocsc() if transposed else want).solve(rhs))
+        assert np.array_equal(engine._j.data, kept[0]) and np.array_equal(engine._jt.data, kept[1])
+
+    def test_second_analyses_on_one_case_are_bitwise_the_first(self, case118):
+        case = tag_essential(case118, "all")
+        params = StochasticParameterSet.from_case(case, sigma_frac=0.03)
+        spec = default_metric_spec(case)
+
+        def analyses():
+            reports = []
+            for sigma_c in ("propagated", None):
+                report = run_rmss(case, params, spec, sigma_c=sigma_c).to_dict()
+                del report["runtime_s"]
+                reports.append(report)
+            mc = run_monte_carlo(case, params, spec, n=3 * 64 + 5, seed=0)
+            return reports, mc.statistics_dict(), mc.failed_indices, mc.newton_iterations
+
+        first, second = analyses(), analyses()
+        assert len(first[2])  # a failing sample: the failure path ran both times
+        assert first[0] == second[0] and first[1] == second[1]
+        assert np.array_equal(first[2], second[2]) and first[3] == second[3]
+
+    def test_pickled_engine_carries_no_replay(self, case14):
+        case, params = _stochastic(case14, "all-solar")
+        engine = engine_for(case)
+        nominal = solve_power_flow(case, injections=params.apply(case, params.means))
+        p, q = params.injections(case, sample_parameters(params, 3, seed=1).values)
+        engine.solve(p, q, start=nominal)
+        assert engine._replay[0] is nominal
+        clone = pickle.loads(pickle.dumps(engine))
+        assert clone._replay is None and engine._replay[0] is nominal
+        assert vars(clone.case)[powerflow._ENGINE] is clone
+        want = engine.solve(p, q, start=nominal)
+        got = clone.solve(p, q, start=nominal)
+        assert np.array_equal(got.v, want.v)
+
+    def test_run_rmss_builds_base_injections_and_bus_map_once(self, case118, monkeypatch):
+        case, params = _stochastic(case118, "all")
+        spec = default_metric_spec(case)
+        calls = []
+        for cls, name in [(GridCase, "injections"), (StochasticParameterSet, "bus_map")]:
+            real = getattr(cls, name)
+            monkeypatch.setattr(
+                cls, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        run_rmss(case, params, spec, sigma_c="propagated")
+        assert sorted(calls) == ["bus_map", "injections"]
+        calls.clear()
+        run_rmss(case, params, spec, sigma_c="propagated")
+        assert calls == ["bus_map"]  # the engine keeps the base injections

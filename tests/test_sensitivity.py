@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from rmss import (
@@ -9,6 +10,7 @@ from rmss import (
     NewtonOptions,
     PowerFlowEngine,
     default_metric_spec,
+    engine_for,
     solve_power_flow,
     tag_essential,
 )
@@ -51,7 +53,7 @@ def test_two_bus_p_and_q_gradients_match_central_differences(two_bus_setup):
     case, params, sol, spec = two_bus_setup
     adj = adjoint_sensitivities(case, sol, params, spec)
     fd = finite_difference_sensitivities(case, sol, params, spec, step=1e-6)
-    assert params.labels() == ("l1.P", "l1.Q")
+    assert params.labels == ("l1.P", "l1.Q")
     # load injection is negative, so raising it (less demand) raises |V2|
     assert adj.values[0, 0] > 0
     assert adj.values[0, 1] > 0
@@ -180,8 +182,8 @@ def test_hybrid_tags_rows_that_disagree_and_keeps_their_adjoint_values(
 
     real_fd = sens_mod.finite_difference_sensitivities
 
-    def distorted_fd(case, sol, params, spec, step=1e-6, columns=None):
-        out = real_fd(case, sol, params, spec, step=step, columns=columns)
+    def distorted_fd(case, sol, params, spec, step=1e-6, columns=None, inject=None):
+        out = real_fd(case, sol, params, spec, step=step, columns=columns, inject=inject)
         out.values[0] *= 1.10  # 10% disagreement on the first metric row
         return out
 
@@ -221,7 +223,9 @@ def _factor_j_solve_transposed(engine, start, p, q, rhs):
     """The reference adjoint solve: SuperLU of J itself, then ``trans="T"``."""
     p, q = np.atleast_2d(p), np.atleast_2d(q)
     e, f, q_eff, _, _ = engine._terms(engine._initial_states(q, start), q)
-    return splu(engine._jacobian(engine._jacobian_data(e, f, q_eff, p)[0])).solve(rhs, trans="T")
+    data = engine._jacobian_data(e, f, q_eff, p)[0]
+    jac = sparse.csc_matrix((data, engine._indices, engine._indptr), shape=(engine.dim,) * 2)
+    return splu(jac).solve(rhs, trans="T")
 
 
 def _full_newton_probe(engine, p, q, start, base, options=None):
@@ -231,7 +235,7 @@ def _full_newton_probe(engine, p, q, start, base, options=None):
 
 @pytest.fixture(scope="module")
 def nominal_cases(case14, case118):
-    """(engine, solution, parameters, spec) per case, solved at the parameter means."""
+    """(case, solution, parameters, spec) per case, solved at the parameter means."""
     out = {}
     for name, case, selector in [
         ("case14-all-solar", case14, "all-solar"),
@@ -240,20 +244,19 @@ def nominal_cases(case14, case118):
     ]:
         tagged = tag_essential(case, selector)
         params = StochasticParameterSet.from_case(tagged)
-        engine = PowerFlowEngine(tagged)
-        sol = solve_power_flow(engine, injections=params.apply(tagged, params.means))
+        sol = solve_power_flow(tagged, injections=params.apply(tagged, params.means))
         assert sol.converged
-        out[name] = engine, sol, params, default_metric_spec(tagged)
+        out[name] = tagged, sol, params, default_metric_spec(tagged)
     return out
 
 
 @pytest.mark.parametrize("name", ["case14-all-solar", "case118-all", "case118-all-renewable"])
 def test_adjoint_on_factored_transpose_matches_transposed_solve(nominal_cases, name, monkeypatch):
-    engine, sol, params, spec = nominal_cases[name]
-    got = adjoint_sensitivities(engine, sol, params, spec)
+    case, sol, params, spec = nominal_cases[name]
+    got = adjoint_sensitivities(case, sol, params, spec)
     with monkeypatch.context() as m:
         m.setattr(PowerFlowEngine, "solve_transposed", _factor_j_solve_transposed)
-        want = adjoint_sensitivities(engine, sol, params, spec)
+        want = adjoint_sensitivities(case, sol, params, spec)
     assert got.adjoint_solves == want.adjoint_solves == len(spec)
     assert relative_row_error(got.values, want.values).max() <= 1e-12
 
@@ -276,21 +279,20 @@ def test_adjoint_singular_jacobian_names_the_uncoupled_bus():
     )
     params = StochasticParameterSet.from_case(case, sigma_abs=0.01)
     with pytest.warns(SingularityWarning):
-        engine = PowerFlowEngine(case)
-    sol = solve_power_flow(engine)
+        sol = solve_power_flow(case)
     assert sol.converged and sol.iterations == 0
     with pytest.raises(JacobianSingular, match="no equations couple bus 3"):
-        adjoint_sensitivities(engine, sol, params, MetricSpec.voltages_at([2]))
+        adjoint_sensitivities(case, sol, params, MetricSpec.voltages_at([2]))
 
 
 @pytest.mark.parametrize("name", ["case14-all-solar", "case118-all", "case118-all-renewable"])
 def test_chord_probe_matches_full_newton_probe(nominal_cases, name, monkeypatch):
-    engine, sol, params, spec = nominal_cases[name]
+    case, sol, params, spec = nominal_cases[name]
     cols = _probe_columns(len(params))  # the columns the hybrid probe differences
-    got = finite_difference_sensitivities(engine, sol, params, spec, columns=cols)
+    got = finite_difference_sensitivities(case, sol, params, spec, columns=cols)
     with monkeypatch.context() as m:
         m.setattr(PowerFlowEngine, "chord_solve", _full_newton_probe)
-        want = finite_difference_sensitivities(engine, sol, params, spec, columns=cols)
+        want = finite_difference_sensitivities(case, sol, params, spec, columns=cols)
     assert np.abs(got.values - want.values).max() <= 1e-8
     assert not np.array_equal(got.values, want.values)  # the chord path ran
 
@@ -300,8 +302,8 @@ def test_probe_rows_chord_steps_cannot_settle_are_solved_by_newton(monkeypatch):
     # far for chord steps on the nominal one, so Newton solves both rows
     case = tag_essential(two_bus(p_load=4.9), ["l1"])
     params = StochasticParameterSet.from_case(case, sigma_abs=0.01)
-    engine = PowerFlowEngine(case)
-    sol = solve_power_flow(engine)
+    engine = engine_for(case)
+    sol = solve_power_flow(case)
     p, q = params.injections(case, params.means + np.array([[0.05], [-0.05]]))
     opts = NewtonOptions(tolerance=1e-12, max_iter=60)
     got = engine.chord_solve(p, q, sol, params.apply(case, params.means), opts)
@@ -311,8 +313,8 @@ def test_probe_rows_chord_steps_cannot_settle_are_solved_by_newton(monkeypatch):
         assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
 
     spec = MetricSpec.voltages_at([2])
-    chord = finite_difference_sensitivities(engine, sol, params, spec, step=0.05)
+    chord = finite_difference_sensitivities(case, sol, params, spec, step=0.05)
     with monkeypatch.context() as m:
         m.setattr(PowerFlowEngine, "chord_solve", _full_newton_probe)
-        newton = finite_difference_sensitivities(engine, sol, params, spec, step=0.05)
+        newton = finite_difference_sensitivities(case, sol, params, spec, step=0.05)
     assert np.array_equal(chord.values, newton.values)
