@@ -263,9 +263,9 @@ def cmd_rmss(case, essential, axes, sigma_p, correlation, metrics, rho, sigma_c,
 
 @main.command("mc")
 @_input_options
-@click.option("--samples", required=True, type=click.IntRange(min=1))
+@click.option("--samples", required=True, type=int)
 @click.option("--seed", default=None, type=int, help="Falls back to RMSS_SEED, then 0.")
-@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1))
+@click.option("--workers", default=1, show_default=True, type=int)
 @click.option("--sample-csv", default=None,
               help="Also dump every sample's metric values to this CSV.")
 @click.option("--out", default=".", show_default=True)

@@ -273,6 +273,10 @@ def run_monte_carlo(
     merely decides which process solves each fixed block of samples, and
     the rows a sample steps with change none of its bits.
     """
+    if n < 1:
+        raise ConfigError(f"Monte Carlo needs at least one sample, got {n}")
+    if workers < 1:
+        raise ConfigError(f"worker count must be at least 1, got {workers}")
     t0 = time.perf_counter()
 
     engine = engine_for(case)
@@ -296,20 +300,16 @@ def run_monte_carlo(
     iterations = np.bincount(np.concatenate([part.iterations for part in parts]))
     block_seconds = [t for part in parts for t in part.block_seconds]
     block_sizes = [k for part in parts for k in part.block_sizes]
-    per_solve = np.divide(block_seconds, block_sizes) if n else np.zeros(1)
+    per_solve = np.divide(block_seconds, block_sizes)
 
     failed = np.flatnonzero(~converged)
     good = metrics[converged]
-    if n > 0 and len(good) == 0:
+    if len(good) == 0:
         raise AllSamplesFailed(f"all {n} sampled solves diverged")
-
-    if len(good):
-        mean = good.mean(axis=0)
-        stdev = good.std(axis=0, ddof=1) if len(good) > 1 else np.zeros(len(spec))
-        ci_lb = np.percentile(good, 2.5, axis=0)
-        ci_ub = np.percentile(good, 97.5, axis=0)
-    else:
-        mean = stdev = ci_lb = ci_ub = np.full(len(spec), np.nan)
+    mean = good.mean(axis=0)
+    stdev = good.std(axis=0, ddof=1) if len(good) > 1 else np.zeros(len(spec))
+    ci_lb = np.percentile(good, 2.5, axis=0)
+    ci_ub = np.percentile(good, 97.5, axis=0)
 
     total = time.perf_counter() - t0
     return McReport(
@@ -328,7 +328,7 @@ def run_monte_carlo(
         param_ci_lb=params.means - _Z95 * params.stdevs,
         param_ci_ub=params.means + _Z95 * params.stdevs,
         total_runtime_s=total,
-        per_solve_mean_s=sum(block_seconds) / n if n else 0.0,
+        per_solve_mean_s=sum(block_seconds) / n,
         per_solve_min_s=float(per_solve.min()),
         per_solve_p50_s=float(np.percentile(per_solve, 50)),
         per_solve_p95_s=float(np.percentile(per_solve, 95)),

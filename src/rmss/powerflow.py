@@ -129,11 +129,20 @@ def _by_level(rows: np.ndarray, cols: np.ndarray, level: np.ndarray, pos: np.nda
     ]
 
 
+# The replay's reference keeps a diagonal pivot unless it is below this
+# fraction of its column's largest entry, SuperLU's threshold pivoting for
+# matrices of symmetric pattern: the multipliers stay within 1/0.01 = 100,
+# and the pivots stay on the diagonal that minimum degree on A^T + A
+# ordered, so the fill and the level counts are that ordering's.
+DIAG_PIVOT_THRESH = 0.01
+
+
 class _ReplayLU:
     """One sparse LU's pivot sequence, replayed on stacks of same-pattern matrices.
 
     SuperLU factors the reference matrix A once, with minimum-degree
-    ordering on A^T + A and partial pivoting. Its row pivots ``perm_r`` and
+    ordering on A^T + A and threshold pivoting that prefers the diagonal
+    (:data:`DIAG_PIVOT_THRESH`). Its row pivots ``perm_r`` and
     column order ``perm_c`` fix B = Pr A Pc, with B[perm_r[i], perm_c[j]] =
     A[i, j], which every later matrix is factored as without pivoting. The
     fill of B's pattern is found symbolically and each elimination step is
@@ -152,6 +161,7 @@ class _ReplayLU:
         ref = splu(
             sparse.csc_matrix((data, indices, indptr), shape=(dim, dim)),
             permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=DIAG_PIVOT_THRESH,
         )
         self.perm_r, self.perm_c = ref.perm_r, ref.perm_c
         bi = self.perm_r[indices]

@@ -278,7 +278,9 @@ def test_mc_zero_samples_exit_3(runner, tmp_path):
         "mc", "--case", "case2", "--essential", "all", "--samples", "0",
         "--out", str(tmp_path),
     ])
-    assert result.exit_code == 3
+    assert result.exit_code == 3, result.output
+    assert "at least one sample, got 0" in result.output
+    assert not (tmp_path / "mc_report.json").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -288,7 +290,7 @@ def test_mc_nonpositive_workers_exit_3(runner, tmp_path, workers):
         "--workers", workers, "--out", str(tmp_path),
     ])
     assert result.exit_code == 3, result.output
-    assert "Invalid value for '--workers'" in result.output
+    assert f"worker count must be at least 1, got {workers}" in result.output
     assert not (tmp_path / "mc_report.json").exists()
 
 

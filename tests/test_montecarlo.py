@@ -216,6 +216,22 @@ class TestRunMonteCarlo:
         with pytest.raises(NonConvergence, match="nominal"):
             run_monte_carlo(case, params, MetricSpec.voltages_at([2]), n=10, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, workers, message",
+        [(0, 1, "at least one sample, got 0"), (-3, 1, "at least one sample, got -3"),
+         (20, 0, "worker count must be at least 1, got 0"),
+         (20, -2, "worker count must be at least 1, got -2")],
+    )
+    def test_sample_and_worker_counts_checked_before_any_solve(self, n, workers, message):
+        # The nominal solve of this case diverges: a count rule must be
+        # reported first, as bad configuration, not as NaN statistics or a
+        # report that records the bad count.
+        case = tag_essential(two_bus(p_load=6.0), ["l1"])
+        params = StochasticParameterSet.from_case(case, sigma_frac=0.02)
+        with pytest.raises(ConfigError, match=message):
+            run_monte_carlo(case, params, MetricSpec.voltages_at([2]), n=n, seed=0,
+                            workers=workers)
+
     def test_failed_samples_tallied_not_fatal(self):
         # nominal load sits just under the 5 pu transfer limit, so a fat
         # spread pushes a fraction of the draws past it

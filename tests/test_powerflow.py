@@ -384,6 +384,26 @@ class TestEngine:
             want = splu(_jacobian(engine, data[r])).solve(rhs[r])
             assert np.abs(got[r] - want).max() <= 1e-12 * np.abs(want).max(), r
 
+    def test_replay_pivots_on_the_minimum_degree_diagonal(self, case118, monkeypatch):
+        # Threshold pivoting keeps every pivot on the diagonal that minimum
+        # degree on J^T + J ordered; partial pivoting moves rows off it and
+        # adds fill, update rounds and levels to every replayed step.
+        case, params = _stochastic(case118, "all")
+        engine = PowerFlowEngine(case)
+        nominal = solve_power_flow(case, injections=params.apply(case, params.means))
+        replay = engine._replay_at(nominal)
+        assert np.array_equal(replay.perm_r, replay.perm_c)
+
+        # The same Jacobian as the replay's, under partial pivoting.
+        s = nominal.v * np.conj(engine.y @ nominal.v)
+        data = engine._jacobian_data_at(nominal, s.real, s.imag)
+        monkeypatch.setattr(powerflow, "DIAG_PIVOT_THRESH", 1.0)
+        partial = powerflow._ReplayLU(engine._indices, engine._indptr, data)
+        assert not np.array_equal(partial.perm_r, partial.perm_c)
+        assert replay.nnz <= partial.nnz
+        assert len(replay.factor_levels) <= len(partial.factor_levels)
+        assert len(replay.backward) <= len(partial.backward)
+
     def test_row_bits_independent_of_block_size(self, case118):
         case, params = _stochastic(case118, "all")
         engine = PowerFlowEngine(case)
